@@ -9,7 +9,7 @@ threshold on purpose.
 
 The real recordings these stand in for are the SocioPatterns primary-school
 RFID data (http://www.sociopatterns.org); the loader accepts those files
-unchanged.  Run this script from the repository root to refrese the CSVs:
+unchanged.  Run this script from the repository root to refresh the CSVs:
 
     python demos/make_contact_stand_in.py
 """

@@ -4,34 +4,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .estimators import difference_in_means, linear_adjusted, nonparametric, rule_of_thumb
 from .graphon import make_graphon
 from .harness import (
+    _NETWORK_VARIANCES,
     TABLE_IDS,
+    _estimate_once,
+    _network_term,
+    _resolve_method,
+    _Settings,
     emit_report,
     get_scenario,
     reproduce_table,
     run_scenario,
     scenario_ids,
 )
-from .kernels import KernelConfig
 from .trial import load_edge_list, load_trial_csv
-from .variance import (
-    confidence_interval,
-    conservative_network_term,
-    estimate_b,
-    estimate_derivative_means,
-    leading_eigenpairs,
-    pc_balancing_weights,
-    variance_np_polyseq,
-    variance_reg,
-)
 
 
 def _default_workers() -> int:
@@ -55,84 +47,41 @@ def _cmd_estimate(args) -> int:
     if args.edges:
         network, _ = load_edge_list(args.edges, min_count=args.min_count, drop_isolated=args.drop_isolated)
     data = load_trial_csv(args.data, pi=args.pi, network=network)
-
-    if args.method == "dim":
-        result = difference_in_means(data)
-    elif args.method == "linear":
-        result = linear_adjusted(data)
-    else:
-        q, h, b = rule_of_thumb(
-            data.n, data.p, args.alpha, data.Z, h_band=args.h_band, b_trim=args.b_trim
-        )
-        config = KernelConfig(q=q, p=data.p, h_band=h, b_trim=b, alpha=args.alpha)
-        result = nonparametric(data, config)
-
-    variance = args.variance
-    if variance is None:
-        variance = "polyseq" if args.method == "np" else "spectral"
-    allowed = ("polyseq", "none") if args.method == "np" else ("spectral", "conservative", "none")
-    if variance not in allowed:
-        print(f"error: --variance {variance} not available for --method {args.method}", file=sys.stderr)
+    try:
+        est, variance = _resolve_method(f"{args.method}:{args.variance or ''}")
+    except ValueError:
+        print(f"error: --variance {args.variance} not available for --method {args.method}", file=sys.stderr)
         return 2
-    if variance == "none":
-        payload = {
-            "tau_hat": result.tau_hat,
-            "variance_hat": None,
-            "ci_low": None,
-            "ci_high": None,
-            "method": result.method,
-            "diagnostics": _json_ready(dict(result.diagnostics)),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return 0
 
     b_hat = d1 = d0 = 0.0
-    network_term_note = None
-    if variance in ("spectral", "polyseq"):
-        if network is not None:
-            if args.rank is None:
-                print("error: --rank is required with --edges for spectral/polyseq variance", file=sys.stderr)
-                return 2
-            b_hat = estimate_b(network)
-            spectral = leading_eigenpairs(network, args.rank)
-            weights = pc_balancing_weights(network, spectral, data.W, data.pi)
-            d1, d0 = estimate_derivative_means(data, weights, data.pi)
-        else:
-            network_term_note = "omitted (no network supplied)"
+    needs_network_term = variance in _NETWORK_VARIANCES
+    if needs_network_term and network is not None:
+        if args.rank is None:
+            print("error: --rank is required with --edges for spectral/polyseq variance", file=sys.stderr)
+            return 2
+        b_hat, d1, d0 = _network_term(network, args.rank, data)
+    settings = _Settings(
+        alpha=args.alpha,
+        h_band=args.h_band,
+        b_trim=args.b_trim,
+        level=args.level,
+        max_degree=args.max_degree,
+        rel_tol=args.rel_tol,
+    )
+    result, rec = _estimate_once(settings, data, est, variance, b_hat, d1, d0)
 
-    if variance == "polyseq":
-        v_hat = variance_np_polyseq(
-            data, b_hat, (d1, d0), max_degree=args.max_degree, rel_tol=args.rel_tol
-        )
-        diagnostics = dict(result.diagnostics)
-    else:
-        if args.method == "linear":
-            fit_frame, fit = data, result
-        else:
-            fit_frame = _intercept_only(data)
-            fit = linear_adjusted(fit_frame)
-        report = variance_reg(fit_frame, fit, b_hat, d1, d0)
-        c1, c2, c3, c4 = report.components
-        if variance == "conservative":
-            c4 = data.pi * (1.0 - data.pi) * conservative_network_term(result.tau_hat)
-        v_hat = c1 + c2 + c3 + c4
-        diagnostics = dict(result.diagnostics)
-        diagnostics["variance_components"] = [c1, c2, c3, c4]
-
-    lo, hi = confidence_interval(result.tau_hat, v_hat, data.n, args.level)
-    diagnostics["variance_method"] = variance
-    if network_term_note:
-        diagnostics["network_term"] = network_term_note
+    diagnostics = dict(result.diagnostics)
+    if variance != "none":
+        if "components" in rec:
+            diagnostics["variance_components"] = rec["components"]
+        diagnostics["variance_method"] = variance
+        if needs_network_term and network is None:
+            diagnostics["network_term"] = "omitted (no network supplied)"
     payload = {
         "tau_hat": result.tau_hat,
-        "variance_hat": v_hat,
-        "ci_low": lo,
-        "ci_high": hi,
+        "variance_hat": rec.get("v"),
+        "ci_low": rec.get("lo"),
+        "ci_high": rec.get("hi"),
         "method": result.method,
         "diagnostics": _json_ready(diagnostics),
     }
@@ -145,19 +94,12 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _intercept_only(data):
-    # the dim variance uses residuals around group means (intercept-only design)
-    from dataclasses import replace
-
-    return replace(data, Z=np.empty((data.n, 0)))
-
-
 def _cmd_simulate(args) -> int:
     scenario = get_scenario(
         args.scenario,
         p=args.p,
         pi=args.pi,
-        interference=None if args.interference is None else args.interference,
+        interference=args.interference,
         np_alpha=args.alpha,
     )
     if args.graphon and scenario.graphon is not None:

@@ -21,6 +21,7 @@ import numpy as np
 
 from ._errors import NetateError, UnknownScenarioError
 from .estimators import (
+    EstimateResult,
     _np_tuning,
     difference_in_means,
     linear_adjusted,
@@ -105,8 +106,9 @@ def contact_network(period: str = "morning", path=None) -> Network:
 
     Edges require at least CONTACT_MIN_COUNT aggregated contacts; vertices
     left isolated by the threshold are dropped.  The bundled files are
-    synthetic stand-ins for the real classroom RFID data (see README for the
-    source of the real files, which load through the same path).
+    synthetic stand-ins for the real classroom RFID data; the generator
+    demos/make_contact_stand_in.py names the source of the real files, which
+    load through the same path.
     """
     if path is None:
         if period not in ("morning", "midday"):
@@ -207,6 +209,8 @@ _ALLOWED_VARIANCE = {
     "linear": ("spectral", "conservative", "none"),
     "np": ("polyseq", "none"),
 }
+# the variances whose network term needs b_hat and the derivative contrasts
+_NETWORK_VARIANCES = ("spectral", "polyseq")
 
 
 def _resolve_method(method: str) -> tuple[str, str]:
@@ -224,24 +228,40 @@ def _resolve_method(method: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _Settings:
+    """Tuning shared by every estimate: np trim quantile and overrides, CI level, polyseq stop."""
+
+    alpha: float
+    h_band: float | None
+    b_trim: float | None
+    level: float
+    max_degree: int
+    rel_tol: float
+
+
+@dataclass(frozen=True)
 class _RepTask:
     scenario: Scenario
     n: int
     methods: tuple[tuple[str, str], ...]
     seed: int
     rep: int
-    np_overrides: dict
-    level: float
-    polyseq_max_degree: int
-    polyseq_rel_tol: float
+    settings: _Settings
     shared_b_hat: float | None
     shared_spectral: object | None
 
 
-def _needs_network_term(task: _RepTask) -> bool:
-    if not task.scenario.interference:
-        return False
-    return any(var in ("spectral", "polyseq") for _, var in task.methods)
+def _network_term(
+    net: Network, rank: int, data: TrialData, b_hat: float | None = None, spectral=None
+) -> tuple[float, float, float]:
+    """(b_hat, d1, d0) of the network variance term; b_hat and spectral may be precomputed."""
+    if b_hat is None:
+        b_hat = estimate_b(net)
+    if spectral is None:
+        spectral = leading_eigenpairs(net, rank)
+    weights = pc_balancing_weights(net, spectral, data.W, data.pi)
+    d1, d0 = estimate_derivative_means(data, weights, data.pi)
+    return b_hat, d1, d0
 
 
 def _run_replicate(task: _RepTask) -> dict:
@@ -260,80 +280,71 @@ def _run_replicate(task: _RepTask) -> dict:
     data = TrialData(Y=y, W=w, Z=draw.Z, pi=scenario.pi, network=net if scenario.interference else None)
 
     b_hat = d1 = d0 = 0.0
-    if _needs_network_term(task):
-        b_hat = task.shared_b_hat if task.shared_b_hat is not None else estimate_b(net)
-        spectral = (
-            task.shared_spectral
-            if task.shared_spectral is not None
-            else leading_eigenpairs(net, scenario.rank)
+    if scenario.interference and any(var in _NETWORK_VARIANCES for _, var in task.methods):
+        b_hat, d1, d0 = _network_term(
+            net, scenario.rank, data, task.shared_b_hat, task.shared_spectral
         )
-        weights = pc_balancing_weights(net, spectral, w, scenario.pi)
-        d1, d0 = estimate_derivative_means(data, weights, scenario.pi)
 
     out: dict = {}
     for est, var in task.methods:
         key = f"{est}:{var}"
         try:
-            out[key] = _estimate_once(task, data, est, var, b_hat, d1, d0)
+            # only the plain-float record goes back to the parent process
+            out[key] = _estimate_once(task.settings, data, est, var, b_hat, d1, d0)[1]
         except NetateError as exc:
             out[key] = {"error": f"{type(exc).__name__}: {exc}"}
     return out
 
 
-def _estimate_once(task, data: TrialData, est: str, var: str, b_hat, d1, d0) -> dict:
-    scenario = task.scenario
-    n = data.n
+def _estimate_once(
+    settings: _Settings, data: TrialData, est: str, var: str, b_hat, d1, d0
+) -> tuple[EstimateResult, dict]:
+    """One estimate and its variance; returns the estimator's result and the replicate record.
+
+    The record holds tau and the kept count, and unless var is "none" the
+    variance v, its interval, and the same without the network term
+    (v_nonet); the spectral and conservative variances add their four
+    components.
+    """
+    pi = data.pi
     kept = None
+    fit_data = data
     if est == "dim":
         result = difference_in_means(data)
-        fit_data = replace(data, Z=np.empty((n, 0)))
-        fit = linear_adjusted(fit_data)
+        # the dim variance uses residuals around group means (intercept-only design)
+        fit_data = replace(data, Z=np.empty((data.n, 0)))
     elif est == "linear":
         result = linear_adjusted(data)
-        fit_data, fit = data, None
     else:
-        alpha = task.np_overrides.get("alpha", scenario.np_alpha)
         q, h, b, kmat = _np_tuning(
-            n,
-            data.p,
-            alpha,
-            data.Z,
-            h_band=task.np_overrides.get("h_band"),
-            b_trim=task.np_overrides.get("b_trim"),
+            data.n, data.p, settings.alpha, data.Z, h_band=settings.h_band, b_trim=settings.b_trim
         )
-        config = KernelConfig(q=q, p=data.p, h_band=h, b_trim=b, alpha=alpha)
+        config = KernelConfig(q=q, p=data.p, h_band=h, b_trim=b, alpha=settings.alpha)
         result = nonparametric(data, config, weights=kmat)
         kept = result.diagnostics["kept"]
-        fit_data, fit = data, None
 
     rec = {"tau": result.tau_hat, "kept": kept}
     if var == "none":
-        return rec
+        return result, rec
 
     if var == "polyseq":
         v = variance_np_polyseq(
-            data,
-            b_hat,
-            (d1, d0),
-            max_degree=task.polyseq_max_degree,
-            rel_tol=task.polyseq_rel_tol,
+            data, b_hat, (d1, d0), max_degree=settings.max_degree, rel_tol=settings.rel_tol
         )
-        c4 = b_hat * scenario.pi * (1.0 - scenario.pi) * (d1 - d0) ** 2
-        v_nonet = v - c4
+        v_nonet = v - b_hat * pi * (1.0 - pi) * (d1 - d0) ** 2
     else:
-        if fit is None:
-            fit = linear_adjusted(fit_data)
-        report = variance_reg(fit_data, fit, b_hat, d1, d0)
+        report = variance_reg(fit_data, linear_adjusted(fit_data), b_hat, d1, d0)
         c1, c2, c3, c4 = report.components
         if var == "conservative":
-            c4 = scenario.pi * (1.0 - scenario.pi) * conservative_network_term(result.tau_hat)
+            c4 = pi * (1.0 - pi) * conservative_network_term(result.tau_hat)
         v = c1 + c2 + c3 + c4
         v_nonet = c1 + c2 + c3
+        rec["components"] = (c1, c2, c3, c4)
 
-    lo, hi = confidence_interval(result.tau_hat, v, n, task.level)
-    lo2, hi2 = confidence_interval(result.tau_hat, max(v_nonet, 0.0), n, task.level)
+    lo, hi = confidence_interval(result.tau_hat, v, data.n, settings.level)
+    lo2, hi2 = confidence_interval(result.tau_hat, max(v_nonet, 0.0), data.n, settings.level)
     rec.update({"v": v, "lo": lo, "hi": hi, "v_nonet": v_nonet, "lo_nonet": lo2, "hi_nonet": hi2})
-    return rec
+    return result, rec
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +481,19 @@ def run_scenario(
 
     shared_b = shared_spec = None
     if scenario.network is not None and scenario.interference:
-        if any(v in ("spectral", "polyseq") for _, v in resolved):
+        if any(v in _NETWORK_VARIANCES for _, v in resolved):
             shared_b = estimate_b(scenario.network)
             shared_spec = leading_eigenpairs(scenario.network, scenario.rank)
 
+    overrides = np_overrides or {}
+    settings = _Settings(
+        alpha=overrides.get("alpha", scenario.np_alpha),
+        h_band=overrides.get("h_band"),
+        b_trim=overrides.get("b_trim"),
+        level=level,
+        max_degree=polyseq_max_degree,
+        rel_tol=polyseq_rel_tol,
+    )
     tasks = [
         _RepTask(
             scenario=scenario,
@@ -481,10 +501,7 @@ def run_scenario(
             methods=resolved,
             seed=int(seed),
             rep=rep,
-            np_overrides=dict(np_overrides or {}),
-            level=level,
-            polyseq_max_degree=polyseq_max_degree,
-            polyseq_rel_tol=polyseq_rel_tol,
+            settings=settings,
             shared_b_hat=shared_b,
             shared_spectral=shared_spec,
         )
@@ -625,14 +642,12 @@ def emit_report(
     summary: ScenarioSummary,
     out_dir,
     formats=("json", "csv"),
-    overlay_variances: dict[str, float] | None = None,
-    hist_bins: int = 30,
 ) -> list[Path]:
     """Write summary.json / cells.csv / hist_<method>.csv under out_dir.
 
-    Histogram files carry bin edges and counts for each method's estimate
-    draws plus the parameters of the overlay normal N(tau, V/n), where V is
-    the supplied theoretical variance (sample-based when absent).
+    Histogram files carry 30-bin edges and counts for each method's estimate
+    draws plus the parameters of the overlay normal N(tau, V/n), where V/n
+    is the sample variance of the estimates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -669,10 +684,8 @@ def emit_report(
         written.append(path)
     if "histogram-csv" in formats:
         for name, ms in summary.methods.items():
-            v = (overlay_variances or {}).get(name)
-            overlay_var = v if v is not None else ms.variance * summary.n
-            sd = math.sqrt(max(overlay_var, 0.0) / summary.n)
-            counts, edges = np.histogram(ms.estimates, bins=hist_bins)
+            sd = math.sqrt(max(ms.variance * summary.n, 0.0) / summary.n)
+            counts, edges = np.histogram(ms.estimates, bins=30)
             path = out / f"hist_{_safe_name(name)}.csv"
             with open(path, "w", newline="") as fh:
                 fh.write(f"# overlay_mean={summary.tau_true!r} overlay_sd={sd!r}\n")

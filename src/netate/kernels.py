@@ -149,36 +149,6 @@ def _query_weights(Z: np.ndarray, z, config: KernelConfig) -> np.ndarray:
     return w
 
 
-try:  # fast path for the all-pairs product; the numpy loop below is the reference
-    from numba import njit
-
-    @njit(cache=True)
-    def _weights_matrix_jit(Z, h, q):  # pragma: no cover - exercised via weights_matrix
-        n, p = Z.shape
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                acc = 1.0
-                for k in range(p):
-                    t = (Z[j, k] - Z[i, k]) / h
-                    t2 = t * t
-                    u = 1.0 - t2
-                    if u <= 0.0:
-                        acc = 0.0
-                        break
-                    if q == 2:
-                        acc *= 0.75 * u
-                    elif q == 4:
-                        acc *= ((45.0 / 32.0) * u) * (1.0 - (7.0 / 3.0) * t2)
-                    else:
-                        acc *= ((525.0 / 256.0) * u) * (1.0 - 6.0 * t2 + (33.0 / 5.0) * t2 * t2)
-                out[i, j] = acc
-        return out
-
-except ImportError:  # pragma: no cover
-    _weights_matrix_jit = None
-
-
 def weights_matrix(Z: np.ndarray, config: KernelConfig) -> np.ndarray:
     """All-pairs kernel weights; entry (i, j) is K((z_j - z_i)/h).
 
@@ -193,8 +163,6 @@ def weights_matrix(Z: np.ndarray, config: KernelConfig) -> np.ndarray:
     n = Z.shape[0]
     if not math.isfinite(config.h_band):
         return np.full((n, n), float(np.prod(_kernel_1d(config.q, np.zeros(config.p)))))
-    if _weights_matrix_jit is not None and n * config.p >= 4096:
-        return _weights_matrix_jit(np.ascontiguousarray(Z), float(config.h_band), config.q)
     out = np.ones((n, n))
     for k in range(config.p):
         col = Z[:, k]

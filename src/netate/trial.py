@@ -124,7 +124,6 @@ class MonteCarloValue(NamedTuple):
 @dataclass(frozen=True)
 class _OutcomeDef:
     default_p: int
-    fixed_p: bool
     sample_covariates: Callable
     sample_noise: Callable
     outcome: Callable
@@ -251,7 +250,6 @@ _REGISTRY: dict[str, _OutcomeDef] = {
     # degenerate outcome, useful for exactness checks
     "constant": _OutcomeDef(
         default_p=1,
-        fixed_p=False,
         sample_covariates=_const_cov,
         sample_noise=_const_noise,
         outcome=_const_outcome,
@@ -261,7 +259,6 @@ _REGISTRY: dict[str, _OutcomeDef] = {
     # treated arm reacts quadratically to the exposure fraction; scalar uniform covariate
     "sec31-validation": _OutcomeDef(
         default_p=1,
-        fixed_p=True,
         sample_covariates=_quadratic_cov,
         sample_noise=_quadratic_noise,
         outcome=_quadratic_outcome,
@@ -271,7 +268,6 @@ _REGISTRY: dict[str, _OutcomeDef] = {
     # linear exposure response with a nonlinear (exp) covariate signal; AR(0.5) Gaussian z
     "sec41-main": _OutcomeDef(
         default_p=1,
-        fixed_p=False,
         sample_covariates=_smooth_cov,
         sample_noise=_smooth_noise,
         outcome=_smooth_outcome,
@@ -281,7 +277,6 @@ _REGISTRY: dict[str, _OutcomeDef] = {
     # vaccine response on a contact network; observed covariate is a perturbed vulnerability
     "contact-vaccine": _OutcomeDef(
         default_p=1,
-        fixed_p=True,
         sample_covariates=_vaccine_cov,
         sample_noise=_vaccine_noise,
         outcome=_vaccine_outcome,

@@ -19,14 +19,5 @@ def smooth_p5_alpha05_study():
     )
 
 
-@pytest.fixture(scope="session")
-def contact_morning_study():
-    """1000 seeded experiments on the bundled morning contact network."""
-    scenario = get_scenario("contact-vaccine", period="morning")
-    return run_scenario(
-        scenario, 0, ("dim", "linear", "np"), reps=1000, seed=9003, workers=WORKERS
-    )
-
-
 def rng_for(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(key)))

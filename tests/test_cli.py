@@ -1,0 +1,182 @@
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import netate.estimators as estimators_module
+from netate import (
+    KernelConfig,
+    TrialData,
+    assign_treatments,
+    confidence_interval,
+    conservative_network_term,
+    contact_network,
+    difference_in_means,
+    estimate_b,
+    estimate_derivative_means,
+    exposure_fractions,
+    get_scenario,
+    leading_eigenpairs,
+    linear_adjusted,
+    load_edge_list,
+    load_trial_csv,
+    nonparametric,
+    pc_balancing_weights,
+    rule_of_thumb,
+    sample_covariates,
+    save_trial_csv,
+    simulate_outcomes,
+    variance_np_polyseq,
+    variance_reg,
+)
+from netate.cli import main
+
+from conftest import rng_for
+
+PI = 0.2
+RANK = 3
+ALLOWED = [
+    ("dim", "spectral"), ("dim", "conservative"), ("dim", "none"),
+    ("linear", "spectral"), ("linear", "conservative"), ("linear", "none"),
+    ("np", "polyseq"), ("np", "none"),
+]
+
+
+@pytest.fixture(scope="module")
+def trial_files(tmp_path_factory):
+    """One seeded experiment on the bundled morning contact network, as CSVs."""
+    root = tmp_path_factory.mktemp("cli")
+    scenario = get_scenario("contact-vaccine", period="morning", pi=PI)
+    net = contact_network("morning")
+    rng = rng_for(70)
+    w = assign_treatments(net.n, PI, rng)
+    draw = sample_covariates(scenario.outcome, net.n, rng)
+    y = simulate_outcomes(scenario.outcome, w, exposure_fractions(net, w), draw, rng)
+    data_path = root / "trial.csv"
+    save_trial_csv(TrialData(Y=y, W=w, Z=draw.Z, pi=PI), data_path)
+    edges_path = root / "edges.csv"
+    rows, cols = net.adjacency.nonzero()
+    edges_path.write_text("".join(f"{i},{j}\n" for i, j in zip(rows, cols) if i < j))
+    return data_path, edges_path
+
+
+def _run(capsys, argv):
+    code = main(["estimate", *argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _expected(data, network, method, variance):
+    """The CLI's estimate, variance and interval from the library primitives."""
+    if method == "dim":
+        result = difference_in_means(data)
+    elif method == "linear":
+        result = linear_adjusted(data)
+    else:
+        q, h, b = rule_of_thumb(data.n, data.p, 0.01, data.Z)
+        result = nonparametric(data, KernelConfig(q=q, p=data.p, h_band=h, b_trim=b, alpha=0.01))
+    if variance == "none":
+        return result, None, None
+    b_hat = d1 = d0 = 0.0
+    if variance in ("spectral", "polyseq"):
+        b_hat = estimate_b(network)
+        weights = pc_balancing_weights(network, leading_eigenpairs(network, RANK), data.W, PI)
+        d1, d0 = estimate_derivative_means(data, weights, PI)
+    components = None
+    if variance == "polyseq":
+        v = variance_np_polyseq(data, b_hat, (d1, d0))
+    else:
+        fit_data = data if method == "linear" else replace(data, Z=np.empty((data.n, 0)))
+        components = list(variance_reg(fit_data, linear_adjusted(fit_data), b_hat, d1, d0).components)
+        if variance == "conservative":
+            components[3] = PI * (1.0 - PI) * conservative_network_term(result.tau_hat)
+        v = sum(components)
+    return result, v, components
+
+
+@pytest.mark.parametrize("method,variance", ALLOWED)
+def test_estimate_matches_library_primitives(capsys, trial_files, method, variance):
+    data_path, edges_path = trial_files
+    code, out, err = _run(capsys, [
+        "--data", str(data_path), "--pi", str(PI), "--edges", str(edges_path),
+        "--rank", str(RANK), "--method", method, "--variance", variance,
+    ])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+
+    network, _ = load_edge_list(edges_path)
+    data = load_trial_csv(data_path, pi=PI, network=network)
+    result, v, components = _expected(data, network, method, variance)
+    assert payload["method"] == result.method
+    assert payload["tau_hat"] == pytest.approx(result.tau_hat, rel=1e-12)
+    if v is None:
+        assert payload["variance_hat"] is None and payload["ci_low"] is None
+        assert "variance_method" not in payload["diagnostics"]
+        return
+    lo, hi = confidence_interval(result.tau_hat, v, data.n, 0.95)
+    assert payload["variance_hat"] == pytest.approx(v, rel=1e-12)
+    assert payload["ci_low"] == pytest.approx(lo, rel=1e-12)
+    assert payload["ci_high"] == pytest.approx(hi, rel=1e-12)
+    assert payload["diagnostics"]["variance_method"] == variance
+    if components is None:
+        assert "variance_components" not in payload["diagnostics"]
+    else:
+        assert payload["diagnostics"]["variance_components"] == pytest.approx(components, rel=1e-12)
+
+
+def test_network_term_omitted_without_edges(capsys, trial_files):
+    data_path, _ = trial_files
+    code, out, _ = _run(capsys, ["--data", str(data_path), "--pi", str(PI), "--method", "linear"])
+    assert code == 0
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["variance_method"] == "spectral"
+    assert diagnostics["network_term"] == "omitted (no network supplied)"
+    assert diagnostics["variance_components"][3] == 0.0
+
+
+@pytest.mark.parametrize("method,variance", [("np", "spectral"), ("np", "conservative"), ("dim", "polyseq")])
+def test_disallowed_variance_exits_2(capsys, trial_files, method, variance):
+    data_path, _ = trial_files
+    code, out, err = _run(capsys, [
+        "--data", str(data_path), "--pi", str(PI), "--method", method, "--variance", variance,
+    ])
+    assert code == 2 and out == ""
+    assert err == f"error: --variance {variance} not available for --method {method}\n"
+
+
+@pytest.mark.parametrize("method", ["linear", "np"])
+def test_edges_without_rank_exits_2(capsys, trial_files, method):
+    data_path, edges_path = trial_files
+    code, out, err = _run(capsys, [
+        "--data", str(data_path), "--pi", str(PI), "--edges", str(edges_path), "--method", method,
+    ])
+    assert code == 2 and out == ""
+    assert "--rank is required" in err
+
+
+def test_out_file_matches_stdout(capsys, trial_files, tmp_path):
+    data_path, edges_path = trial_files
+    argv = ["--data", str(data_path), "--pi", str(PI), "--edges", str(edges_path),
+            "--rank", str(RANK), "--method", "np"]
+    _, printed, _ = _run(capsys, argv)
+    out_path = tmp_path / "result.json"
+    code, out, _ = _run(capsys, [*argv, "--out", str(out_path)])
+    assert code == 0 and out == ""
+    assert out_path.read_text() == printed
+
+
+def test_np_builds_the_kernel_matrix_once(capsys, trial_files, monkeypatch):
+    data_path, _ = trial_files
+    calls = []
+    original = estimators_module.weights_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimators_module, "weights_matrix", counting)
+    code, _, _ = _run(capsys, [
+        "--data", str(data_path), "--pi", str(PI), "--method", "np", "--variance", "none",
+    ])
+    assert code == 0 and len(calls) == 1

@@ -16,7 +16,7 @@ from netate import (
     kernel_order_for_dimension,
     local_constant,
 )
-from netate.kernels import _kernel_1d, weights_matrix
+from netate.kernels import weights_matrix
 
 from conftest import rng_for
 
@@ -215,21 +215,6 @@ def test_weights_matrix_matches_scalar_queries():
     for i in (0, 7, 24):
         expected = density_estimate(Z, Z[i], c)
         assert mat[i].sum() / (25 * 1.3**4) == pytest.approx(expected, rel=1e-12)
-
-
-def test_weights_matrix_jit_agrees_with_numpy_loop():
-    from netate.kernels import _weights_matrix_jit
-
-    if _weights_matrix_jit is None:
-        pytest.skip("numba unavailable")
-    rng = rng_for(23)
-    for q, p, h in ((2, 1, 0.6), (4, 5, 2.0), (6, 10, 4.0)):
-        Z = rng.standard_normal((60, p))
-        ref = np.ones((60, 60))
-        for k in range(p):
-            col = Z[:, k]
-            ref *= _kernel_1d(q, (col[None, :] - col[:, None]) / h)
-        assert (_weights_matrix_jit(np.ascontiguousarray(Z), h, q) == ref).all()
 
 
 def test_infinite_bandwidth_weights_are_constant():
