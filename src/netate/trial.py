@@ -501,7 +501,10 @@ def load_trial_csv(path, pi: float, network: Network | None = None) -> TrialData
                 continue
             if len(row) != p + 2:
                 raise ValueError(f"{path}:{lineno}: expected {p + 2} fields")
-            rows.append([float(v) for v in row])
+            values = [float(v) for v in row]
+            if values[1] not in (0.0, 1.0):
+                raise ValueError(f"{path}:{lineno}: treatment w must be 0 or 1, got {row[1].strip()}")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)

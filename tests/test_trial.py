@@ -251,6 +251,15 @@ def test_load_trial_csv_rejects_bad_header(tmp_path):
         load_trial_csv(path, pi=0.5)
 
 
+@pytest.mark.parametrize("w", ["0.5", "1.7"])
+def test_load_trial_csv_rejects_fractional_treatment(tmp_path, w):
+    # the column used to be cast to int, reading 0.5 as 0 and 1.7 as 1
+    path = tmp_path / "d.csv"
+    path.write_text(f"y,w,z1\n1.0,1,0.2\n2.0,{w},0.3\n")
+    with pytest.raises(ValueError, match=rf"d\.csv:3: treatment w must be 0 or 1, got {w}"):
+        load_trial_csv(path, pi=0.5)
+
+
 def test_trial_data_validation():
     with pytest.raises(ValueError):
         TrialData(Y=np.zeros(3), W=np.array([0, 1, 2]), Z=np.zeros((3, 1)), pi=0.5)

@@ -129,6 +129,71 @@ def test_eigenpairs_lanczos_path_matches_dense():
     assert (dec.residual_norms(net) <= 1e-6 * dec.operator_norm()).all()
 
 
+def paper_trial(n, seed):
+    """A paper-sec3 graph with one sec31-validation trial drawn on it."""
+    spec_g = make_graphon("paper-sec3")
+    scenario = get_scenario("sec31-validation", pi=0.5)
+    rng = rng_for(46, seed, n)
+    net = sample_graph(spec_g, sample_latents(n, rng), rng)
+    w = assign_treatments(n, 0.5, rng)
+    draw = sample_covariates(scenario.outcome, n, rng)
+    y = simulate_outcomes(scenario.outcome, w, exposure_fractions(net, w), draw, rng)
+    return TrialData(Y=y, W=w, Z=draw.Z, pi=0.5, network=net)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [500, 1000])
+def test_eigenpairs_dense_and_lanczos_agree_downstream(monkeypatch, n, seed):
+    # the two paths must give the same network term, not just valid pairs
+    data = paper_trial(n, seed)
+    net = data.network
+    out = {}
+    for path, threshold in (("dense", n), ("lanczos", n - 1)):
+        monkeypatch.setattr(netate.variance, "DENSE_EIG_THRESHOLD", threshold)
+        dec = leading_eigenpairs(net, 3)
+        wt = pc_balancing_weights(net, dec, data.W, 0.5)
+        out[path] = (dec.eigenvalues, wt, estimate_derivative_means(data, wt, 0.5))
+    (vd, wd, dd), (vl, wl, dl) = out["dense"], out["lanczos"]
+    assert np.max(np.abs(vl - vd)) <= 1e-10 * abs(vd[0])
+    assert np.max(np.abs(wl - wd)) <= 1e-9 * np.max(np.abs(wd))
+    assert dl == pytest.approx(dd, rel=1e-9)
+
+
+def test_eigenpairs_lanczos_sees_antisymmetric_directions():
+    # a path is mirror-symmetric: half its eigenvectors are orthogonal to the
+    # constant vector, so a constant Lanczos start misses -lambda_1
+    n = 2050
+    net = Network.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    dec = leading_eigenpairs(net, 3)
+    closed_form = np.sort(np.abs(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))))[::-1]
+    assert np.allclose(np.abs(dec.eigenvalues), closed_form[:3], rtol=0, atol=1e-10)
+    assert (dec.residual_norms(net) <= 1e-6 * dec.operator_norm()).all()
+
+
+def test_eigenpairs_lanczos_cycle_invariants():
+    # the cycle's top eigenvalues repeat, so only the pair contract is checked
+    n = 601
+    net = Network.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    dec = leading_eigenpairs(net, 3)
+    assert np.allclose(dec.eigenvectors.T @ dec.eigenvectors, np.eye(3), atol=1e-10)
+    assert (dec.residual_norms(net) <= 1e-6 * dec.operator_norm()).all()
+
+
+def test_eigenpairs_empty_graph_on_lanczos_path():
+    net = Network.from_edges(600, [])
+    dec = leading_eigenpairs(net, 3)
+    assert (dec.eigenvalues == 0.0).all()
+    assert (dec.eigenvectors == np.eye(600, 3)).all()
+
+
+def test_run_scenario_worker_invariance_lanczos():
+    s = get_scenario("sec31-validation", pi=0.5)
+    assert 400 > netate.variance.DENSE_EIG_THRESHOLD
+    one = run_scenario(s, 400, ("linear",), reps=4, seed=11, workers=1)
+    two = run_scenario(s, 400, ("linear",), reps=4, seed=11, workers=2)
+    assert one.to_dict() == two.to_dict()
+
+
 def test_eigenpairs_rank_bounds():
     with pytest.raises(ValueError):
         leading_eigenpairs(complete_graph(3), 0)
