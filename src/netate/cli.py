@@ -26,10 +26,6 @@ from .harness import (
 from .trial import load_edge_list, load_trial_csv
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("NETATE_WORKERS", "1"))
-
-
 def _json_ready(obj):
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
@@ -188,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--methods", default="dim,linear,np")
     sim.add_argument("--reps", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--workers", type=int, default=_default_workers())
+    sim.add_argument("--workers", type=int, default=os.environ.get("NETATE_WORKERS", "1"))
     sim.add_argument("--alpha", type=float)
     sim.add_argument("--h-band", type=float)
     sim.add_argument("--b-trim", type=float)
@@ -200,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--table", required=True, choices=TABLE_IDS)
     rep.add_argument("--budget", type=float, default=1.0, help="fraction of the full 1000 reps")
     rep.add_argument("--seed", type=int, default=20240)
-    rep.add_argument("--workers", type=int, default=_default_workers())
+    rep.add_argument("--workers", type=int, default=os.environ.get("NETATE_WORKERS", "1"))
     rep.add_argument("--out", help="directory for report.json")
     rep.add_argument("--contacts-morning", help="contact CSV replacing the bundled morning network")
     rep.add_argument("--contacts-midday", help="contact CSV replacing the bundled midday network")

@@ -109,13 +109,10 @@ def fixed_adjusted(data: TrialData, alpha1, alpha0) -> EstimateResult:
     treated, control = _groups(data)
     a1 = np.zeros(data.p) if alpha1 is None else np.asarray(alpha1, dtype=float).reshape(data.p)
     a0 = np.zeros(data.p) if alpha0 is None else np.asarray(alpha0, dtype=float).reshape(data.p)
-    zc = data.Z - data.Z.mean(axis=0) if data.p else data.Z
-    adj1 = zc @ a1 if data.p else 0.0
-    adj0 = zc @ a0 if data.p else 0.0
-    tau = float(
-        (data.Y[treated] - np.broadcast_to(adj1, (data.n,))[treated]).mean()
-        - (data.Y[control] - np.broadcast_to(adj0, (data.n,))[control]).mean()
-    )
+    zc = data.Z - data.Z.mean(axis=0)
+    adj1 = zc @ a1
+    adj0 = zc @ a0
+    tau = float((data.Y[treated] - adj1[treated]).mean() - (data.Y[control] - adj0[control]).mean())
     return EstimateResult(tau, "fixed_alpha", {"alpha1": a1, "alpha0": a0})
 
 

@@ -45,7 +45,7 @@ class GraphonSpec:
     h : callable
         Vectorized symmetric function of two arrays in [0, 1].
     sparsity_exponent : float
-        gamma >= 0 in rho_n = sparsity_scale * n**(-gamma); 0 means dense.
+        gamma >= 0 in rho_n = n**(-gamma); 0 means dense.
     rank_hint : int, optional
         Declared finite rank, consumed by spectral variance estimation.
     lower_bound, upper_bound : float, optional
@@ -54,8 +54,6 @@ class GraphonSpec:
     eigenvalues, eigenfunctions : optional
         Present only for rank-expansion specs: h = sum_k lam_k psi_k(x) psi_k(y)
         with orthonormal psi_k.
-    sparsity_scale : float
-        Multiplier on n**(-gamma), default 1 (per-form override knob).
     """
 
     h: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -66,17 +64,14 @@ class GraphonSpec:
     name: str = "custom"
     eigenvalues: tuple[float, ...] | None = None
     eigenfunctions: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
-    sparsity_scale: float = 1.0
 
     def __post_init__(self):
         if self.sparsity_exponent < 0:
             raise ValueError("sparsity_exponent must be >= 0")
-        if self.sparsity_scale <= 0:
-            raise ValueError("sparsity_scale must be positive")
 
     def edge_density(self, n: int) -> float:
         """rho_n for a graph on n vertices."""
-        return self.sparsity_scale * float(n) ** (-self.sparsity_exponent)
+        return float(n) ** (-self.sparsity_exponent)
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,7 @@ def _parse_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     return sympy.lambdify(x, parsed, modules="numpy")
 
 
-def make_graphon(key: str, sparsity_exponent: float = 0.25, sparsity_scale: float = 1.0) -> GraphonSpec:
+def make_graphon(key: str, sparsity_exponent: float = 0.25) -> GraphonSpec:
     """Build a registered graphon.
 
     Keys: ``paper-sec3`` (x^2 + y^2 + xy + 0.1, rank 3), ``constant:<c>``,
@@ -188,7 +183,6 @@ def make_graphon(key: str, sparsity_exponent: float = 0.25, sparsity_scale: floa
             lower_bound=13.0 / 30.0,
             upper_bound=3.1,
             name=key,
-            sparsity_scale=sparsity_scale,
         )
     if key.startswith("constant:"):
         c = float(key.split(":", 1)[1])
@@ -203,7 +197,6 @@ def make_graphon(key: str, sparsity_exponent: float = 0.25, sparsity_scale: floa
             name=key,
             eigenvalues=(c,),
             eigenfunctions=((lambda x: np.ones_like(np.asarray(x, dtype=float))),),
-            sparsity_scale=sparsity_scale,
         )
     if key.startswith("rank1:"):
         psi_raw = _parse_expr(key.split(":", 1)[1])
@@ -217,7 +210,6 @@ def make_graphon(key: str, sparsity_exponent: float = 0.25, sparsity_scale: floa
             eigenfunctions=[psi],
             sparsity_exponent=sparsity_exponent,
             name=key,
-            sparsity_scale=sparsity_scale,
         )
     raise UnknownGraphonError(f"unknown graphon key {key!r}")
 
@@ -227,7 +219,6 @@ def rank_graphon(
     eigenfunctions: Sequence[Callable],
     sparsity_exponent: float = 0.25,
     name: str = "rank-expansion",
-    sparsity_scale: float = 1.0,
 ) -> GraphonSpec:
     """Finite-rank graphon h(x, y) = sum_k lam_k psi_k(x) psi_k(y).
 
@@ -257,7 +248,6 @@ def rank_graphon(
         name=name,
         eigenvalues=lams,
         eigenfunctions=psis,
-        sparsity_scale=sparsity_scale,
     )
 
 

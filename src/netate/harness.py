@@ -458,15 +458,15 @@ def run_scenario(
     seed: int,
     workers: int = 1,
     np_overrides: dict | None = None,
-    level: float = 0.95,
-    polyseq_max_degree: int = 5,
-    polyseq_rel_tol: float = 0.05,
 ) -> ScenarioSummary:
     """Run seeded replicates of a scenario and aggregate per-method statistics.
 
     `methods` is a sequence of "estimator[:variance]" strings, e.g. "linear",
-    "dim:conservative", "np".  For fixed-network scenarios n is the network
-    size; the spectral pieces of the variance are computed once and shared.
+    "dim:conservative", "np".  `np_overrides` may fix "h_band" and "b_trim";
+    the trim quantile is the scenario's np_alpha.  Intervals are at level
+    0.95 and polyseq stops at degree 5 or relative change 0.05.  For
+    fixed-network scenarios n is the network size; the spectral pieces of
+    the variance are computed once and shared.
     Replicate failures are counted per method. A method that fails in more
     than 5% of replicates, every replicate included, raises RuntimeError
     quoting the count and the first error with its exception type.
@@ -486,13 +486,16 @@ def run_scenario(
             shared_spec = leading_eigenpairs(scenario.network, scenario.rank)
 
     overrides = np_overrides or {}
+    unknown = set(overrides) - {"h_band", "b_trim"}
+    if unknown:
+        raise ValueError(f"unknown np_overrides keys {sorted(unknown)}; use h_band or b_trim")
     settings = _Settings(
-        alpha=overrides.get("alpha", scenario.np_alpha),
+        alpha=scenario.np_alpha,
         h_band=overrides.get("h_band"),
         b_trim=overrides.get("b_trim"),
-        level=level,
-        max_degree=polyseq_max_degree,
-        rel_tol=polyseq_rel_tol,
+        level=0.95,
+        max_degree=5,
+        rel_tol=0.05,
     )
     tasks = [
         _RepTask(
@@ -533,7 +536,7 @@ def run_scenario(
         tau_true=tau,
         reps=reps,
         seed=int(seed),
-        level=level,
+        level=settings.level,
         methods=summaries,
     )
 
@@ -740,6 +743,8 @@ _TABLE6_REFERENCE = {
 
 
 def _scaled_reps(budget: float, full: int = 1000) -> int:
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"budget must be a finite number > 0, got {budget!r}")
     return max(int(round(full * budget)), 20)
 
 
@@ -789,11 +794,10 @@ def reproduce_table(
                 })
     elif table_id == "table2":
         for p, grid in _TABLE2_REFERENCE.items():
-            scenario = get_scenario("sec41-main", p=p)
             for (h, alpha), ref in grid.items():
+                scenario = get_scenario("sec41-main", p=p, np_alpha=alpha)
                 summary = run_scenario(
-                    scenario, 1000, ("np:none",), reps, seed, workers,
-                    np_overrides={"h_band": h, "alpha": alpha},
+                    scenario, 1000, ("np:none",), reps, seed, workers, np_overrides={"h_band": h}
                 )
                 cells.append({
                     "p": p, "h_band": h, "alpha": alpha,

@@ -135,46 +135,36 @@ def kernel_moment(config: KernelConfig, multi_index) -> float:
 
 def _query_weights(Z: np.ndarray, z, config: KernelConfig) -> np.ndarray:
     """K((z_j - z)/h) for every sample row j."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if Z.shape[1] != config.p or z.shape != (config.p,):
+    if z.shape != (config.p,):
         raise ValueError("covariate dimensions do not match the kernel config")
-    if not math.isfinite(config.h_band):
-        return np.full(Z.shape[0], float(np.prod(_kernel_1d(config.q, np.zeros(config.p)))))
-    w = np.ones(Z.shape[0])
-    for k in range(config.p):
-        w *= _kernel_1d(config.q, (Z[:, k] - z[k]) / config.h_band)
-    return w
+    return weights_matrix(Z, config, at=z[None, :])[0]
 
 
-def weights_matrix(Z: np.ndarray, config: KernelConfig) -> np.ndarray:
-    """All-pairs kernel weights; entry (i, j) is K((z_j - z_i)/h).
+def weights_matrix(Z: np.ndarray, config: KernelConfig, at=None) -> np.ndarray:
+    """Kernel weights around query points; entry (i, j) is K((z_j - at_i)/h).
 
-    Shared by the batched density, group-density, and local-constant
-    evaluations inside the trimmed estimator.
+    `at` is an (m, p) matrix of query points, Z itself by default.  This is
+    the one evaluation routine: the single-point functions below take their
+    one row from it.  An infinite bandwidth needs no branch: every scaled
+    difference is then 0, so every weight is K(0)^p, and a finite sum over
+    n h^p is 0.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
         Z = Z[:, None]
-    if Z.shape[1] != config.p:
+    at = Z if at is None else np.asarray(at, dtype=float)
+    if Z.shape[1] != config.p or at.ndim != 2 or at.shape[1] != config.p:
         raise ValueError("covariate dimensions do not match the kernel config")
-    n = Z.shape[0]
-    if not math.isfinite(config.h_band):
-        return np.full((n, n), float(np.prod(_kernel_1d(config.q, np.zeros(config.p)))))
-    out = np.ones((n, n))
+    out = np.ones((at.shape[0], Z.shape[0]))
     for k in range(config.p):
-        col = Z[:, k]
-        out *= _kernel_1d(config.q, (col[None, :] - col[:, None]) / config.h_band)
+        out *= _kernel_1d(config.q, (Z[None, :, k] - at[:, k, None]) / config.h_band)
     return out
 
 
 def density_estimate(Z: np.ndarray, z, config: KernelConfig) -> float:
     """(1/(n h^p)) sum_j K((z_j - z)/h); signed for orders above 2."""
     w = _query_weights(Z, z, config)
-    if not math.isfinite(config.h_band):
-        return 0.0
     return float(w.sum() / (w.shape[0] * config.h_band**config.p))
 
 
@@ -186,8 +176,6 @@ def group_density_estimates(
         raise ValueError("pi_hat must lie strictly inside (0, 1)")
     w = _query_weights(Z, z, config)
     W = np.asarray(W, dtype=float)
-    if not math.isfinite(config.h_band):
-        return 0.0, 0.0
     scale = w.shape[0] * config.h_band**config.p
     p1 = float((w * W).sum() / (scale * pi_hat))
     p2 = float((w * (1.0 - W)).sum() / (scale * (1.0 - pi_hat)))

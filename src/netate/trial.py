@@ -2,8 +2,8 @@
 
 Outcome models are registered by id.  Each registry entry owns its covariate
 law, its noise law, the outcome function f(w, exposure), the exposure
-derivative of f (used by variance oracles), and, when available in closed
-form, the conditional means E[f(w, pi) | z].  A covariate draw can carry
+derivative of f (used by variance oracles), and whether the conditional
+mean E[f(w, pi) | z] is f at zero noise.  A covariate draw can carry
 hidden arrays consumed only by the outcome function (e.g. a raw vulnerability
 of which the observed covariate is a perturbed version); estimators only ever
 see the observed matrix Z.
@@ -128,15 +128,22 @@ class _OutcomeDef:
     sample_noise: Callable
     outcome: Callable
     outcome_deriv: Callable
-    cond_mean: Callable | None  # (model, w, pi, draw) -> E[f(w, pi) | Z]
+    # True only when the outcome reads the draw through Z alone and its noise
+    # enters additively with mean zero, so that E[f(w, pi) | Z] is the outcome
+    # formula at zero noise.  A model without that property sets False.
+    closed_form_mean: bool
+
+
+def _normal_noise(model, n, rng):
+    return rng.standard_normal(n)
+
+
+def _no_noise(model, n, rng):
+    return np.zeros(n)
 
 
 def _quadratic_cov(model, n, rng):
     return CovariateDraw(Z=rng.uniform(-2.0, 1.0, size=(n, 1)))
-
-
-def _quadratic_noise(model, n, rng):
-    return rng.standard_normal(n)
 
 
 def _quadratic_outcome(model, w, e, draw, noise):
@@ -147,11 +154,6 @@ def _quadratic_outcome(model, w, e, draw, noise):
 def _quadratic_deriv(model, w, e, draw, noise):
     z = draw.Z[:, 0]
     return w * (4.0 * (1.0 - e) - 4.0 * z * e)
-
-
-def _quadratic_cond_mean(model, w, pi, draw):
-    z = draw.Z[:, 0]
-    return w * (-2.0 * (1.0 - pi) ** 2 - 2.0 * z * pi**2) + z**2
 
 
 def _ar_cholesky(p: int) -> np.ndarray:
@@ -171,10 +173,6 @@ def _smooth_cov(model, n, rng):
     return CovariateDraw(Z=z)
 
 
-def _smooth_noise(model, n, rng):
-    return rng.standard_normal(n)
-
-
 def _smooth_outcome(model, w, e, draw, noise):
     z = draw.Z
     p = z.shape[1]
@@ -187,22 +185,10 @@ def _smooth_deriv(model, w, e, draw, noise):
     return w * np.ones(draw.Z.shape[0])
 
 
-def _smooth_cond_mean(model, w, pi, draw):
-    z = draw.Z
-    p = z.shape[1]
-    s = z.sum(axis=1) / _kernel_scn_scale(p)
-    g = np.exp(z).sum(axis=1) / (2.0 * math.sqrt(p))
-    return w * (pi - 0.5 + s) + g
-
-
 def _vaccine_cov(model, n, rng):
     z_star = rng.normal(0.0, math.sqrt(2.0), size=n)
     v = rng.uniform(0.9, 1.1, size=n)
     return CovariateDraw(Z=(z_star * v)[:, None], hidden={"z_star": z_star})
-
-
-def _vaccine_noise(model, n, rng):
-    return np.zeros(n)  # randomness enters through the covariate draw only
 
 
 def _vaccine_raw(draw):
@@ -230,10 +216,6 @@ def _const_cov(model, n, rng):
     return CovariateDraw(Z=rng.standard_normal((n, p)))
 
 
-def _const_noise(model, n, rng):
-    return np.zeros(n)
-
-
 def _const_outcome(model, w, e, draw, noise):
     return np.full(draw.Z.shape[0], float(model.params.get("c", 0.0)))
 
@@ -242,46 +224,43 @@ def _const_deriv(model, w, e, draw, noise):
     return np.zeros(draw.Z.shape[0])
 
 
-def _const_cond_mean(model, w, pi, draw):
-    return np.full(draw.Z.shape[0], float(model.params.get("c", 0.0)))
-
-
 _REGISTRY: dict[str, _OutcomeDef] = {
     # degenerate outcome, useful for exactness checks
     "constant": _OutcomeDef(
         default_p=1,
         sample_covariates=_const_cov,
-        sample_noise=_const_noise,
+        sample_noise=_no_noise,
         outcome=_const_outcome,
         outcome_deriv=_const_deriv,
-        cond_mean=_const_cond_mean,
+        closed_form_mean=True,
     ),
     # treated arm reacts quadratically to the exposure fraction; scalar uniform covariate
     "sec31-validation": _OutcomeDef(
         default_p=1,
         sample_covariates=_quadratic_cov,
-        sample_noise=_quadratic_noise,
+        sample_noise=_normal_noise,
         outcome=_quadratic_outcome,
         outcome_deriv=_quadratic_deriv,
-        cond_mean=_quadratic_cond_mean,
+        closed_form_mean=True,
     ),
     # linear exposure response with a nonlinear (exp) covariate signal; AR(0.5) Gaussian z
     "sec41-main": _OutcomeDef(
         default_p=1,
         sample_covariates=_smooth_cov,
-        sample_noise=_smooth_noise,
+        sample_noise=_normal_noise,
         outcome=_smooth_outcome,
         outcome_deriv=_smooth_deriv,
-        cond_mean=_smooth_cond_mean,
+        closed_form_mean=True,
     ),
-    # vaccine response on a contact network; observed covariate is a perturbed vulnerability
+    # vaccine response on a contact network; observed covariate is a perturbed
+    # vulnerability, and randomness enters through the covariate draw only
     "contact-vaccine": _OutcomeDef(
         default_p=1,
         sample_covariates=_vaccine_cov,
-        sample_noise=_vaccine_noise,
+        sample_noise=_no_noise,
         outcome=_vaccine_outcome,
         outcome_deriv=_vaccine_deriv,
-        cond_mean=None,
+        closed_form_mean=False,
     ),
 }
 
@@ -386,12 +365,12 @@ def outcome_exposure_derivative(
 
 def conditional_mean(model: OutcomeModel, w: int, pi: float, covariates: CovariateDraw) -> np.ndarray:
     """E[f(w, pi) | Z] when the model provides it in closed form."""
-    fn = _definition(model).cond_mean
-    if fn is None:
+    if not _definition(model).closed_form_mean:
         raise UnknownScenarioError(
             f"model {model.scenario_id!r} has no closed-form conditional mean"
         )
-    return np.asarray(fn(model, float(w), pi, covariates), dtype=float)
+    n = covariates.Z.shape[0]
+    return outcome_values(model, np.full(n, float(w)), pi, covariates, np.zeros(n))
 
 
 def ate_oracle(

@@ -30,7 +30,7 @@ from netate import (
     variance_np_polyseq,
     variance_reg,
 )
-from netate.cli import main
+from netate.cli import build_parser, main
 
 from conftest import rng_for
 
@@ -180,3 +180,17 @@ def test_np_builds_the_kernel_matrix_once(capsys, trial_files, monkeypatch):
         "--data", str(data_path), "--pi", str(PI), "--method", "np", "--variance", "none",
     ])
     assert code == 0 and len(calls) == 1
+
+
+def test_bad_workers_variable_fails_only_where_workers_is_read(capsys, monkeypatch):
+    monkeypatch.setenv("NETATE_WORKERS", "abc")
+    with pytest.raises(SystemExit) as help_exit:
+        main(["estimate", "--help"])
+    assert help_exit.value.code == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as bad_exit:
+        main(["reproduce", "--table", "table5"])
+    assert bad_exit.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    monkeypatch.setenv("NETATE_WORKERS", "3")
+    assert build_parser().parse_args(["reproduce", "--table", "table5"]).workers == 3

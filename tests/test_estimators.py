@@ -116,6 +116,12 @@ def test_fixed_zero_equals_dim():
     assert fixed_adjusted(data, np.zeros(2), np.zeros(2)).tau_hat == difference_in_means(data).tau_hat
 
 
+def test_fixed_p0_equals_dim_exactly():
+    data = make_data(n=70, p=1, seed=9, noise=1.0)
+    data0 = TrialData(Y=data.Y, W=data.W, Z=np.zeros((70, 0)), pi=0.5)
+    assert fixed_adjusted(data0, None, None).tau_hat == difference_in_means(data0).tau_hat
+
+
 def test_fixed_at_ols_slopes_equals_linear():
     data = make_data(n=130, p=4, seed=7, noise=0.8)
     fit = linear_adjusted(data)

@@ -83,6 +83,13 @@ def test_run_scenario_failure_reporting():
         run_scenario(s, 60, ("np:none",), reps=4, seed=3, np_overrides={"b_trim": 1e9})
 
 
+def test_run_scenario_rejects_unknown_np_override():
+    # the trim quantile comes from the scenario (get_scenario(np_alpha=...)), not an override
+    s = get_scenario("sec41-main", p=1)
+    with pytest.raises(ValueError, match=r"\['alpha'\]"):
+        run_scenario(s, 60, ("np:none",), reps=2, seed=3, np_overrides={"alpha": 0.05})
+
+
 def test_run_scenario_counts_rare_failures(monkeypatch):
     # a method failing in <= 5% of replicates is reported, not fatal
     import netate.harness as hz
@@ -266,6 +273,12 @@ def test_reproduce_table5_smoke():
     for cell in report["cells"]:
         assert cell["ci_low"] < cell["estimate_reference"] + 1.0  # structural sanity only
         assert cell["se"] > 0
+
+
+@pytest.mark.parametrize("budget", [0, -1, math.nan, math.inf])
+def test_reproduce_rejects_nonpositive_or_nonfinite_budget(budget):
+    with pytest.raises(ValueError, match="budget must be a finite number > 0"):
+        reproduce_table("table5", budget=budget)
 
 
 def test_reproduce_missing_contacts_file():

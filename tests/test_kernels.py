@@ -222,3 +222,38 @@ def test_infinite_bandwidth_weights_are_constant():
     c = cfg(q=2, p=2, h=math.inf)
     mat = weights_matrix(Z, c)
     assert (mat == 0.75**2).all()
+
+
+@pytest.mark.parametrize("q, p", [(4, 4), (4, 7), (6, 8), (6, 10)])
+def test_infinite_bandwidth_higher_orders(q, p):
+    # at h = inf every scaled difference is 0 and every sum is divided by inf
+    rng = rng_for(25, q, p)
+    Z = rng.standard_normal((12, p))
+    w = np.r_[1, 0, (rng.random(10) < 0.5)].astype(float)
+    c = cfg(q=q, p=p, h=math.inf)
+    k0 = kernel_eval(c, np.zeros(p))
+    assert (weights_matrix(Z, c) == k0).all()
+    z = rng.standard_normal(p)
+    assert density_estimate(Z, z, c) == 0.0
+    assert group_density_estimates(Z, w, z, c, pi_hat=0.5) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("q, p, h", [(2, 1, 0.4), (2, 3, 1.1), (4, 5, 1.7), (6, 9, 2.5)])
+def test_single_point_queries_equal_matrix_rows_exactly(q, p, h):
+    rng = rng_for(26, q, p)
+    n = 30
+    Z = rng.standard_normal((n, p))
+    y = rng.standard_normal(n)
+    w = np.r_[1, 0, (rng.random(n - 2) < 0.5)].astype(float)
+    c = cfg(q=q, p=p, h=h)
+    mat = weights_matrix(Z, c)
+    scale = n * h**p
+    for i in (0, 11, n - 1):
+        row = mat[i]
+        assert density_estimate(Z, Z[i], c) == float(row.sum() / scale)
+        p1, p2 = group_density_estimates(Z, w, Z[i], c, pi_hat=0.4)
+        assert p1 == float((row * w).sum() / (scale * 0.4))
+        assert p2 == float((row * (1.0 - w)).sum() / (scale * 0.6))
+        assert local_constant(Z, y, w, Z[i], c, "treated") == float(
+            (row * w * y).sum() / float((row * w).sum())
+        )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from netate import (
     save_trial_csv,
     simulate_outcomes,
 )
+from netate.trial import conditional_mean
 
 from conftest import rng_for
 
@@ -130,6 +133,35 @@ def test_smooth_scenario_scaling_constant():
         idx = np.arange(p)
         sigma = 0.5 ** np.abs(idx[:, None] - idx[None, :])
         assert sigma.sum() == pytest.approx(3 * p - 4 + 2.0 ** (2 - p), rel=1e-12)
+
+
+def _hand_conditional_mean(scenario_id, params, w, pi, z):
+    if scenario_id == "constant":
+        return np.full(z.shape[0], params["c"])
+    if scenario_id == "sec31-validation":
+        return w * (-2.0 * (1.0 - pi) ** 2 - 2.0 * z[:, 0] * pi**2) + z[:, 0] ** 2
+    p = z.shape[1]
+    s = z.sum(axis=1) / math.sqrt(3.0 * p - 4.0 + 2.0 ** (2 - p))
+    return w * (pi - 0.5 + s) + np.exp(z).sum(axis=1) / (2.0 * math.sqrt(p))
+
+
+@pytest.mark.parametrize("pi", [0.2, 0.5, 0.7])
+@pytest.mark.parametrize("w", [0, 1])
+@pytest.mark.parametrize(
+    "scenario_id, params",
+    [("constant", {"c": 1.5}), ("sec31-validation", {}), ("sec41-main", {"p": 1}), ("sec41-main", {"p": 3})],
+)
+def test_conditional_mean_matches_closed_form(scenario_id, params, w, pi):
+    model = OutcomeModel(scenario_id, params)
+    draw = sample_covariates(model, 200, rng_for(12))
+    expected = _hand_conditional_mean(scenario_id, params, float(w), pi, draw.Z)
+    assert (conditional_mean(model, w, pi, draw) == expected).all()
+
+
+def test_conditional_mean_unavailable_for_vaccine():
+    model = OutcomeModel("contact-vaccine")
+    with pytest.raises(UnknownScenarioError, match="closed-form"):
+        conditional_mean(model, 1, 0.2, sample_covariates(model, 5, rng_for(13)))
 
 
 # ---------------------------------------------------------------------------
