@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -99,9 +100,8 @@ def _cmd_simulate(args) -> int:
         np_alpha=args.alpha,
     )
     if args.graphon and scenario.graphon is not None:
-        from dataclasses import replace
-
-        scenario = replace(scenario, graphon=make_graphon(args.graphon))
+        graphon = make_graphon(args.graphon)
+        scenario = replace(scenario, graphon=graphon, rank=graphon.rank_hint)
     np_overrides = {}
     if args.h_band is not None:
         np_overrides["h_band"] = args.h_band
@@ -116,7 +116,7 @@ def _cmd_simulate(args) -> int:
         workers=args.workers,
         np_overrides=np_overrides,
     )
-    paths = emit_report(summary, args.out, formats=("json", "csv", "histogram-csv"))
+    paths = emit_report(summary, args.out)
     for p in paths:
         print(p)
     return 0
@@ -205,8 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a ValueError (an input the library rejects) prints one line and exits 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

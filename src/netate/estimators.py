@@ -34,9 +34,11 @@ __all__ = [
     "rule_of_thumb",
     "nonparametric",
     "RCOND_THRESHOLD",
+    "TRIM_FACTOR",
 ]
 
 RCOND_THRESHOLD = 1e-10
+TRIM_FACTOR = 1.01
 
 
 @dataclass
@@ -149,6 +151,8 @@ def _np_tuning(
     b_trim: float | None = None,
 ) -> tuple[int, float, float, np.ndarray | None]:
     """rule_of_thumb plus the kernel weights matrix when one was computed."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     q = kernel_order_for_dimension(p)
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
@@ -162,7 +166,7 @@ def _np_tuning(
     a2 = (3.0 * p + 18.0 * q) / (q - 0.5 * p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # placeholder trim level, not a user config
-        probe = KernelConfig(q=q, p=p, h_band=h, b_trim=math.inf, alpha=alpha)
+        probe = KernelConfig(q=q, p=p, h_band=h, b_trim=math.inf)
     kmat = weights_matrix(Z, probe)
     p_hat = kmat.sum(axis=1) / (n * h**p)
     c2 = float(np.quantile(p_hat, alpha))
@@ -199,7 +203,7 @@ def nonparametric(
     """Trimmed average of local-constant group fits at every sample point.
 
     Points are kept when both group density estimates exceed the trim level
-    and the pooled density exceeds trim_factor times it; trimmed points
+    and the pooled density exceeds TRIM_FACTOR times it; trimmed points
     contribute zero but stay in the 1/n averaging.  The group proportion
     pi_hat = mean(W) feeds the group density estimates.  `weights` may carry
     a precomputed weights_matrix(data.Z, config) to avoid recomputation.
@@ -214,7 +218,7 @@ def nonparametric(
         "q": config.q,
         "h_band": config.h_band,
         "b_trim": config.b_trim,
-        "trim_factor": config.trim_factor,
+        "trim_factor": TRIM_FACTOR,
         "pi_hat": pi_hat,
         "pi_design": data.pi,
     }
@@ -235,7 +239,7 @@ def nonparametric(
     p_hat = kmat.sum(axis=1) / scale
     p1 = den1 / (scale * pi_hat)
     p2 = den0 / (scale * (1.0 - pi_hat))
-    kept = (p1 > config.b_trim) & (p2 > config.b_trim) & (p_hat > config.trim_factor * config.b_trim)
+    kept = (p1 > config.b_trim) & (p2 > config.b_trim) & (p_hat > TRIM_FACTOR * config.b_trim)
 
     # higher-order kernels can leave a kept point with nonpositive group mass;
     # such points are reclassified as trimmed

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy import integrate
-from scipy.stats import qmc
 
 from ._errors import IsolatedVertexError, QuadratureError, UnknownGraphonError
 
@@ -47,7 +46,7 @@ class GraphonSpec:
     sparsity_exponent : float
         gamma >= 0 in rho_n = n**(-gamma); 0 means dense.
     rank_hint : int, optional
-        Declared finite rank, consumed by spectral variance estimation.
+        Declared finite rank; graphon scenarios use it as the spectral rank.
     lower_bound, upper_bound : float, optional
         Declared c_l <= inf_x int h(x, y) dy and c_u >= sup h.  Checked by
         probes, not symbolically.
@@ -90,7 +89,7 @@ class Network:
     latents: np.ndarray | None = field(default=None, compare=False)
 
     @classmethod
-    def from_adjacency(cls, adjacency, latents: np.ndarray | None = None) -> "Network":
+    def from_adjacency(cls, adjacency) -> "Network":
         a = sp.csr_array(adjacency, dtype=np.float64)
         n = a.shape[0]
         if a.shape[0] != a.shape[1]:
@@ -100,7 +99,7 @@ class Network:
         if (a != a.T).nnz != 0:
             raise ValueError("adjacency must be symmetric")
         degrees = np.asarray(a.sum(axis=1)).ravel().astype(np.int64)
-        return cls(n=n, adjacency=a, degrees=degrees, latents=latents)
+        return cls(n=n, adjacency=a, degrees=degrees)
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Network":
@@ -349,6 +348,7 @@ def probe_bounds(spec: GraphonSpec, n_points: int = 2**14) -> tuple[float, float
     Compared against the declared (lower_bound, upper_bound) by callers; a
     16384-point low-discrepancy probe stands in for symbolic verification.
     """
+    from scipy.stats import qmc  # deferred: importing scipy.stats costs ~0.5 s
     pairs = qmc.Sobol(d=2, scramble=False, seed=0).random(n_points)
     pairs = np.clip(pairs, 1e-9, 1 - 1e-9)
     sup_h = float(np.max(spec.h(pairs[:, 0], pairs[:, 1])))

@@ -143,25 +143,27 @@ def get_scenario(
 ) -> Scenario:
     """Build a registered scenario, optionally overriding its knobs."""
     if scenario_id == "sec31-validation":
+        graphon = make_graphon("paper-sec3")
         base = Scenario(
             id=scenario_id,
             outcome=OutcomeModel("sec31-validation"),
             pi=0.5,
             p=1,
-            graphon=make_graphon("paper-sec3"),
-            rank=3,
+            graphon=graphon,
+            rank=graphon.rank_hint,
         )
         if p not in (None, 1):
             raise ValueError("this scenario owns a scalar covariate")
     elif scenario_id == "sec41-main":
         dim = 1 if p is None else int(p)
+        graphon = make_graphon("paper-sec3")
         base = Scenario(
             id=scenario_id,
             outcome=OutcomeModel("sec41-main", {"p": dim}),
             pi=0.7,
             p=dim,
-            graphon=make_graphon("paper-sec3"),
-            rank=3,
+            graphon=graphon,
+            rank=graphon.rank_hint,
         )
     elif scenario_id == "contact-vaccine":
         base = Scenario(
@@ -319,7 +321,7 @@ def _estimate_once(
         q, h, b, kmat = _np_tuning(
             data.n, data.p, settings.alpha, data.Z, h_band=settings.h_band, b_trim=settings.b_trim
         )
-        config = KernelConfig(q=q, p=data.p, h_band=h, b_trim=b, alpha=settings.alpha)
+        config = KernelConfig(q=q, p=data.p, h_band=h, b_trim=b)
         result = nonparametric(data, config, weights=kmat)
         kept = result.diagnostics["kept"]
 
@@ -641,12 +643,8 @@ def _safe_name(method: str) -> str:
     return method.replace(":", "-")
 
 
-def emit_report(
-    summary: ScenarioSummary,
-    out_dir,
-    formats=("json", "csv"),
-) -> list[Path]:
-    """Write summary.json / cells.csv / hist_<method>.csv under out_dir.
+def emit_report(summary: ScenarioSummary, out_dir) -> list[Path]:
+    """Write summary.json, cells.csv and one hist_<method>.csv per method under out_dir.
 
     Histogram files carry 30-bin edges and counts for each method's estimate
     draws plus the parameters of the overlay normal N(tau, V/n), where V/n
@@ -654,49 +652,40 @@ def emit_report(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    known = {"json", "csv", "histogram-csv"}
-    unknown = set(formats) - known
-    if unknown:
-        raise ValueError(f"unknown formats {sorted(unknown)}; choose from {sorted(known)}")
-
-    if "json" in formats:
-        path = out / "summary.json"
-        path.write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
-        written.append(path)
-    if "csv" in formats:
-        path = out / "cells.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    path = out / "summary.json"
+    path.write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
+    written = [path]
+    path = out / "cells.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [
+                "scenario", "n", "pi", "p", "method", "reps_ok", "reps_failed",
+                "mean", "variance", "n_mse", "coverage", "coverage_nonet",
+                "ci_halfwidth", "mean_kept",
+            ]
+        )
+        for name, ms in summary.methods.items():
             writer.writerow(
                 [
-                    "scenario", "n", "pi", "p", "method", "reps_ok", "reps_failed",
-                    "mean", "variance", "n_mse", "coverage", "coverage_nonet",
-                    "ci_halfwidth", "mean_kept",
+                    summary.scenario_id, summary.n, summary.pi, summary.p, name,
+                    ms.reps_ok, ms.reps_failed, repr(ms.mean), repr(ms.variance),
+                    repr(ms.n_mse), ms.coverage, ms.coverage_nonet,
+                    ms.ci_halfwidth, ms.mean_kept,
                 ]
             )
-            for name, ms in summary.methods.items():
-                writer.writerow(
-                    [
-                        summary.scenario_id, summary.n, summary.pi, summary.p, name,
-                        ms.reps_ok, ms.reps_failed, repr(ms.mean), repr(ms.variance),
-                        repr(ms.n_mse), ms.coverage, ms.coverage_nonet,
-                        ms.ci_halfwidth, ms.mean_kept,
-                    ]
-                )
+    written.append(path)
+    for name, ms in summary.methods.items():
+        sd = math.sqrt(max(ms.variance * summary.n, 0.0) / summary.n)
+        counts, edges = np.histogram(ms.estimates, bins=30)
+        path = out / f"hist_{_safe_name(name)}.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(f"# overlay_mean={summary.tau_true!r} overlay_sd={sd!r}\n")
+            writer = csv.writer(fh)
+            writer.writerow(["bin_left", "bin_right", "count"])
+            for k in range(counts.size):
+                writer.writerow([repr(float(edges[k])), repr(float(edges[k + 1])), int(counts[k])])
         written.append(path)
-    if "histogram-csv" in formats:
-        for name, ms in summary.methods.items():
-            sd = math.sqrt(max(ms.variance * summary.n, 0.0) / summary.n)
-            counts, edges = np.histogram(ms.estimates, bins=30)
-            path = out / f"hist_{_safe_name(name)}.csv"
-            with open(path, "w", newline="") as fh:
-                fh.write(f"# overlay_mean={summary.tau_true!r} overlay_sd={sd!r}\n")
-                writer = csv.writer(fh)
-                writer.writerow(["bin_left", "bin_right", "count"])
-                for k in range(counts.size):
-                    writer.writerow([repr(float(edges[k])), repr(float(edges[k + 1])), int(counts[k])])
-            written.append(path)
     return written
 
 

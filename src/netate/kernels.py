@@ -56,8 +56,6 @@ class KernelConfig:
     p: int
     h_band: float
     b_trim: float
-    trim_factor: float = 1.01
-    alpha: float = 0.01
 
     def __post_init__(self):
         if self.q not in _ORDERS:
@@ -68,10 +66,6 @@ class KernelConfig:
             raise ValueError("bandwidth must be positive")
         if not self.b_trim > 0:
             raise ValueError("trimming threshold must be positive")
-        if not self.trim_factor > 1:
-            raise ValueError("trim factor must exceed 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
         if math.isfinite(self.h_band) and self.h_band < self.b_trim:
             # a trim level above the bandwidth can discard most of the sample
             warnings.warn(

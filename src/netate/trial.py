@@ -37,7 +37,6 @@ __all__ = [
     "load_edge_list",
     "load_trial_csv",
     "save_trial_csv",
-    "outcome_model_ids",
 ]
 
 
@@ -263,10 +262,6 @@ _REGISTRY: dict[str, _OutcomeDef] = {
         closed_form_mean=False,
     ),
 }
-
-
-def outcome_model_ids() -> list[str]:
-    return sorted(_REGISTRY)
 
 
 def _definition(model: OutcomeModel) -> _OutcomeDef:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ._errors import InvalidVarianceError, SingularDesignError
 from .estimators import EstimateResult, linear_adjusted
@@ -64,13 +64,10 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """The four variance components plus the network-term ingredients."""
+    """The variance estimate and its four components."""
 
     v_hat: float
     components: tuple[float, float, float, float]
-    b_hat: float
-    deriv1: float
-    deriv0: float
 
 
 def estimate_b(network: Network) -> float:
@@ -167,15 +164,13 @@ def variance_reg(
     b_hat: float,
     deriv1: float,
     deriv0: float,
-    use_pi_hat: bool = False,
 ) -> VarianceReport:
     """Assemble the four-component variance estimate for the adjusted estimator.
 
     Components: treated residual mean square over pi, control residual mean
     square over (1 - pi), slope-contrast quadratic form in the empirical
-    covariate covariance, and b_hat pi (1 - pi) (deriv1 - deriv0)^2.  The
-    residual denominators use the design pi; `use_pi_hat` switches them to
-    the sample proportion for sensitivity runs.
+    covariate covariance, and b_hat pi (1 - pi) (deriv1 - deriv0)^2, where
+    pi is the design probability data.pi.
     """
     beta1 = linear_fit.diagnostics.get("beta1")
     beta0 = linear_fit.diagnostics.get("beta0")
@@ -184,11 +179,10 @@ def variance_reg(
     treated = data.W == 1
     control = ~treated
     X = np.column_stack([np.ones(data.n), data.Z]) if data.p else np.ones((data.n, 1))
-    pi = float(data.W.mean()) if use_pi_hat else data.pi
     r1 = data.Y[treated] - X[treated] @ beta1
     r0 = data.Y[control] - X[control] @ beta0
-    c1 = float((r1 * r1).mean() / pi)
-    c2 = float((r0 * r0).mean() / (1.0 - pi))
+    c1 = float((r1 * r1).mean() / data.pi)
+    c2 = float((r0 * r0).mean() / (1.0 - data.pi))
     if data.p:
         d = beta1[1:] - beta0[1:]
         zbar = data.Z.mean(axis=0)
@@ -197,13 +191,7 @@ def variance_reg(
     else:
         c3 = 0.0
     c4 = float(b_hat * data.pi * (1.0 - data.pi) * (deriv1 - deriv0) ** 2)
-    return VarianceReport(
-        v_hat=c1 + c2 + c3 + c4,
-        components=(c1, c2, c3, c4),
-        b_hat=float(b_hat),
-        deriv1=float(deriv1),
-        deriv0=float(deriv0),
-    )
+    return VarianceReport(v_hat=c1 + c2 + c3 + c4, components=(c1, c2, c3, c4))
 
 
 def confidence_interval(
@@ -216,7 +204,7 @@ def confidence_interval(
         raise ValueError("level must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    half = norm.ppf(0.5 + level / 2.0) * math.sqrt(v_hat / n)
+    half = ndtri(0.5 + level / 2.0) * math.sqrt(v_hat / n)
     return float(tau_hat - half), float(tau_hat + half)
 
 
@@ -225,23 +213,14 @@ def conservative_network_term(tau_hat: float) -> float:
     return 8.0 * tau_hat * tau_hat
 
 
-def _legendre_columns(col: np.ndarray, degree: int) -> np.ndarray:
-    lo, hi = col.min(), col.max()
-    t = (2.0 * col - (hi + lo)) / (hi - lo) if hi > lo else np.zeros_like(col)
-    return np.column_stack([np.polynomial.legendre.Legendre.basis(d)(t) for d in range(1, degree + 1)])
-
-
-def _poly_design(Z: np.ndarray, degree: int, basis: str) -> np.ndarray:
-    """Per-coordinate polynomial expansion up to `degree`, no cross terms."""
+def _poly_design(Z: np.ndarray, degree: int) -> np.ndarray:
+    """Per-coordinate monomials z_k^1 .. z_k^degree, no cross terms."""
     if degree == 0:
         return np.empty((Z.shape[0], 0))
     blocks = []
     for k in range(Z.shape[1]):
         col = Z[:, k]
-        if basis == "legendre":
-            blocks.append(_legendre_columns(col, degree))
-        else:
-            blocks.append(np.column_stack([col**d for d in range(1, degree + 1)]))
+        blocks.append(np.column_stack([col**d for d in range(1, degree + 1)]))
     return np.hstack(blocks)
 
 
@@ -251,25 +230,22 @@ def variance_np_polyseq(
     derivs: tuple[float, float],
     max_degree: int = 5,
     rel_tol: float = 0.05,
-    basis: str = "monomial",
 ) -> float:
     """Variance for the nonparametric estimator via growing polynomial fits.
 
-    Evaluates the four-component variance with per-coordinate polynomial
-    expansions of degree 0, 1, 2, ... and stops once the value stabilizes
-    (relative change below rel_tol), the expansion becomes ill-conditioned,
-    or max_degree is reached.  On stabilization the previous (slightly
-    conservative) value is returned; rel_tol = inf therefore returns the
-    degree-0 value.
+    Evaluates the four-component variance with per-coordinate monomials
+    z_k, ..., z_k^d (no cross terms) for d = 0, 1, 2, ... and stops once the
+    value stabilizes (relative change below rel_tol), the expansion becomes
+    ill-conditioned, or max_degree is reached.  On stabilization the
+    previous (slightly conservative) value is returned; rel_tol = inf
+    therefore returns the degree-0 value.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    if basis not in ("monomial", "legendre"):
-        raise ValueError("basis must be 'monomial' or 'legendre'")
     deriv1, deriv0 = derivs
     values: list[float] = []
     for degree in range(max_degree + 1):
-        expanded = replace(data, Z=_poly_design(data.Z, degree, basis))
+        expanded = replace(data, Z=_poly_design(data.Z, degree))
         try:
             fit = linear_adjusted(expanded)
         except SingularDesignError:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netate
 import netate.estimators as estimators_module
+import netate.harness as harness_module
 from netate import (
     KernelConfig,
     TrialData,
@@ -75,7 +81,7 @@ def _expected(data, network, method, variance):
         result = linear_adjusted(data)
     else:
         q, h, b = rule_of_thumb(data.n, data.p, 0.01, data.Z)
-        result = nonparametric(data, KernelConfig(q=q, p=data.p, h_band=h, b_trim=b, alpha=0.01))
+        result = nonparametric(data, KernelConfig(q=q, p=data.p, h_band=h, b_trim=b))
     if variance == "none":
         return result, None, None
     b_hat = d1 = d0 = 0.0
@@ -194,3 +200,50 @@ def test_bad_workers_variable_fails_only_where_workers_is_read(capsys, monkeypat
     assert "invalid int value: 'abc'" in capsys.readouterr().err
     monkeypatch.setenv("NETATE_WORKERS", "3")
     assert build_parser().parse_args(["reproduce", "--table", "table5"]).workers == 3
+
+
+def test_np_infinite_bandwidth_without_trim_exits_2(capsys, trial_files):
+    data_path, _ = trial_files
+    code, out, err = _run(capsys, [
+        "--data", str(data_path), "--pi", str(PI), "--method", "np", "--h-band", "inf",
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "pass b_trim explicitly" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "nan"])
+def test_reproduce_bad_budget_exits_2_before_any_replicate(capsys, monkeypatch, budget):
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("run_scenario was called")
+
+    monkeypatch.setattr(harness_module, "run_scenario", no_replicates)
+    code = main(["reproduce", "--table", "table1", f"--budget={budget}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: budget must be a finite number > 0, got {float(budget)!r}\n"
+
+
+def test_simulate_graphon_override_uses_its_rank(capsys, monkeypatch, tmp_path):
+    ranks = []
+    original = harness_module.leading_eigenpairs
+
+    def recording(network, r):
+        ranks.append(r)
+        return original(network, r)
+
+    monkeypatch.setattr(harness_module, "leading_eigenpairs", recording)
+    code = main([
+        "simulate", "--scenario", "sec31-validation", "--n", "60", "--graphon", "constant:0.5",
+        "--methods", "linear", "--reps", "2", "--workers", "1", "--out", str(tmp_path),
+    ])
+    capsys.readouterr()
+    assert code == 0 and ranks == [1, 1]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about 0.5 s to every command's start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(netate.__file__).parents[1]))
+    probe = "import sys, netate; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -233,6 +233,13 @@ def test_rule_of_thumb_overrides():
     assert (q, h, b) == (2, 0.4, 0.02)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_rule_of_thumb_rejects_alpha_outside_unit_interval(alpha):
+    Z = rng_for(37).standard_normal((200, 1))
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+        rule_of_thumb(200, 1, alpha, Z)
+
+
 # ---------------------------------------------------------------------------
 # nonparametric estimator
 # ---------------------------------------------------------------------------

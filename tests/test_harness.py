@@ -217,7 +217,7 @@ def test_oracle_vg_missing_cond_mean_errors():
 def test_emit_report_consistency(tmp_path):
     s = get_scenario("sec31-validation")
     summary = run_scenario(s, 60, ("dim", "linear"), reps=5, seed=7)
-    paths = emit_report(summary, tmp_path, formats=("json", "csv", "histogram-csv"))
+    paths = emit_report(summary, tmp_path)
     names = {p.name for p in paths}
     assert names == {"summary.json", "cells.csv", "hist_dim-spectral.csv", "hist_linear-spectral.csv"}
     blob = json.loads((tmp_path / "summary.json").read_text())
@@ -235,13 +235,6 @@ def test_emit_report_consistency(tmp_path):
     assert hist[1] == "bin_left,bin_right,count"
     counts = sum(int(r.split(",")[2]) for r in hist[2:])
     assert counts == blob["methods"]["dim:spectral"]["reps_ok"]
-
-
-def test_emit_report_rejects_unknown_format(tmp_path):
-    s = get_scenario("sec31-validation")
-    summary = run_scenario(s, 50, ("dim:none",), reps=2, seed=8)
-    with pytest.raises(ValueError):
-        emit_report(summary, tmp_path, formats=("parquet",))
 
 
 # ---------------------------------------------------------------------------

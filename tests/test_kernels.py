@@ -64,8 +64,6 @@ def test_kernel_config_validation():
         cfg(h=-1.0)
     with pytest.raises(ValueError):
         cfg(b=0.0)
-    with pytest.raises(ValueError):
-        cfg(trim_factor=1.0)
     with pytest.warns(UserWarning, match="below trim threshold"):
         cfg(h=0.4, b=0.8)
 

@@ -321,15 +321,6 @@ def test_variance_reg_components_nonnegative():
         assert rep.components[2] >= -1e-15 and rep.components[3] >= 0
 
 
-def test_variance_reg_pi_hat_flag():
-    data = linear_data(noise=1.0)
-    fit = linear_adjusted(data)
-    a = variance_reg(data, fit, 0.0, 0.0, 0.0)
-    b = variance_reg(data, fit, 0.0, 0.0, 0.0, use_pi_hat=True)
-    pi_hat = data.W.mean()
-    assert b.components[0] == pytest.approx(a.components[0] * 0.5 / pi_hat, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # confidence intervals
 # ---------------------------------------------------------------------------
@@ -403,13 +394,6 @@ def test_polyseq_singular_expansion_stops_gracefully():
     fit0 = linear_adjusted(replace(data, Z=np.empty((n, 0))))
     v0 = variance_reg(replace(data, Z=np.empty((n, 0))), fit0, 0.0, 0.0, 0.0).v_hat
     assert got == v0
-
-
-def test_polyseq_legendre_matches_monomial():
-    data = linear_data(n=400, seed=5, noise=0.8)
-    a = variance_np_polyseq(data, 0.5, (1.0, 0.0), rel_tol=1e-12, max_degree=3)
-    b = variance_np_polyseq(data, 0.5, (1.0, 0.0), rel_tol=1e-12, max_degree=3, basis="legendre")
-    assert a == pytest.approx(b, rel=1e-6)
 
 
 def test_polyseq_network_term_added():
