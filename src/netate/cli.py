@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._errors import InvalidVarianceError, NetateError, QuadratureError
 from .graphon import make_graphon
 from .harness import (
     _NETWORK_VARIANCES,
@@ -204,12 +205,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# library errors that signal a fault in the program, not in its input
+_PROGRAM_FAULTS = (QuadratureError, InvalidVarianceError)
+
+
 def main(argv=None) -> int:
-    """Run one subcommand; a ValueError (an input the library rejects) prints one line and exits 2."""
+    """Run one subcommand.
+
+    An input the library rejects (a ValueError, a file that cannot be read,
+    or any NetateError but a program fault) prints one `error:` line and
+    exits 2; a program fault keeps its traceback.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except _PROGRAM_FAULTS:
+        raise
+    except (ValueError, OSError, NetateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

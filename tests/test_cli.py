@@ -10,9 +10,11 @@ import pytest
 
 import netate
 import netate.estimators as estimators_module
+import netate.cli as cli_module
 import netate.harness as harness_module
 from netate import (
     KernelConfig,
+    QuadratureError,
     TrialData,
     assign_treatments,
     confidence_interval,
@@ -210,6 +212,52 @@ def test_np_infinite_bandwidth_without_trim_exits_2(capsys, trial_files):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "pass b_trim explicitly" in err
+
+
+def _assert_one_error_line(code, out, err, fragment):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.filterwarnings("ignore:bandwidth .* below trim threshold")
+def test_np_everything_trimmed_exits_2(capsys, trial_files):
+    data_path, _ = trial_files
+    code, out, err = _run(capsys, [
+        "--data", str(data_path), "--pi", str(PI), "--method", "np",
+        "--h-band", "0.05", "--b-trim", "50", "--variance", "none",
+    ])
+    _assert_one_error_line(code, out, err, "every point failed the trimming conditions")
+
+
+def test_malformed_edge_list_exits_2(capsys, trial_files, tmp_path):
+    data_path, _ = trial_files
+    edges_path = tmp_path / "edges.csv"
+    edges_path.write_text("0,1\n1,x\n")
+    code, out, err = _run(capsys, [
+        "--data", str(data_path), "--pi", str(PI), "--edges", str(edges_path), "--rank", str(RANK),
+    ])
+    _assert_one_error_line(code, out, err, f"{edges_path}:2: non-integer field")
+
+
+@pytest.mark.parametrize("missing", ["--data", "--edges"])
+def test_missing_input_file_exits_2(capsys, trial_files, tmp_path, missing):
+    data_path, edges_path = trial_files
+    paths = {"--data": str(data_path), "--edges": str(edges_path), missing: str(tmp_path / "absent.csv")}
+    code, out, err = _run(capsys, [
+        "--data", paths["--data"], "--pi", str(PI), "--edges", paths["--edges"], "--rank", str(RANK),
+    ])
+    _assert_one_error_line(code, out, err, f"No such file or directory: '{tmp_path / 'absent.csv'}'")
+
+
+def test_program_fault_keeps_its_traceback(capsys, trial_files, monkeypatch):
+    def failing(*args, **kwargs):
+        raise QuadratureError("no convergence", 1e-3)
+
+    monkeypatch.setattr(cli_module, "_estimate_once", failing)
+    data_path, _ = trial_files
+    with pytest.raises(QuadratureError):
+        main(["estimate", "--data", str(data_path), "--pi", str(PI)])
 
 
 @pytest.mark.parametrize("budget", ["0", "-1", "nan"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from netate import (
     kernel_order_for_dimension,
     local_constant,
 )
+from netate import kernels
 from netate.kernels import weights_matrix
 
 from conftest import rng_for
@@ -255,3 +257,60 @@ def test_single_point_queries_equal_matrix_rows_exactly(q, p, h):
         assert local_constant(Z, y, w, Z[i], c, "treated") == float(
             (row * w * y).sum() / float((row * w).sum())
         )
+
+
+def _whole_matrix_weights(Z, config, at=None):
+    """Reference: each coordinate's 1-D factor over all (m, n) pairs at once."""
+    at = Z if at is None else at
+    out = np.ones((at.shape[0], Z.shape[0]))
+    for k in range(config.p):
+        t = (Z[None, :, k] - at[:, k, None]) / config.h_band
+        t2 = t * t
+        u = 1.0 - t2
+        if config.q == 2:
+            factor = 0.75 * np.maximum(u, 0.0)
+        elif config.q == 4:
+            factor = (45.0 / 32.0) * u
+            factor *= 1.0 - (7.0 / 3.0) * t2
+            factor *= u > 0.0
+        else:
+            factor = (525.0 / 256.0) * u
+            factor *= 1.0 - 6.0 * t2 + (33.0 / 5.0) * t2 * t2
+            factor *= u > 0.0
+        out *= factor
+    return out
+
+
+BLOCK = 4
+
+
+@pytest.mark.parametrize("h", [1.0, 0.7, math.inf])
+@pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("q", [2, 4, 6])
+def test_blocked_weights_equal_whole_matrix_bit_for_bit(monkeypatch, q, m, h):
+    # integer coordinates at h = 1 put pairs exactly on the support boundary,
+    # where orders 4 and 6 give signed zeros
+    rng = rng_for(27, q, m)
+    p = 3
+    Z = np.c_[rng.integers(-2, 3, (9, 2)), rng.standard_normal(9)].astype(float)
+    queries = np.c_[rng.integers(-2, 3, (m, 2)), rng.standard_normal(m)].astype(float)
+    c = cfg(q=q, p=p, h=h)
+    for sample, at in ((Z[:m], None), (Z, queries)):
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * sample.shape[0] * BLOCK)
+        got = weights_matrix(sample, c, at=at)
+        want = _whole_matrix_weights(sample, c, at=at)
+        assert got.shape == want.shape == (m, sample.shape[0])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_weights_matrix_memory_is_the_result_plus_block_scratch():
+    Z = rng_for(28).standard_normal((2000, 5))
+    c = cfg(q=4, p=5, h=1.5)
+    tracemalloc.start()
+    try:
+        mat = weights_matrix(Z, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * mat.nbytes + 2 * 2**20
