@@ -205,10 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# library errors that signal a fault in the program, not in its input
-_PROGRAM_FAULTS = (QuadratureError, InvalidVarianceError)
-
-
 def main(argv=None) -> int:
     """Run one subcommand.
 
@@ -219,8 +215,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _PROGRAM_FAULTS:
-        raise
+    except (QuadratureError, InvalidVarianceError):
+        raise  # a fault in the program, not in its input
     except (ValueError, OSError, NetateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

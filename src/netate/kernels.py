@@ -96,14 +96,14 @@ def _kernel_1d(q: int, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     if out is None:
         t = np.array(t, dtype=float)
         out = np.empty_like(t)
-    # mask-free for q = 2: (1 - t^2) clipped at 0 doubles as the support indicator
     np.multiply(t, t, out=out)  # t^2
     if q == 2:
+        # mask-free: (1 - t^2) clipped at 0 doubles as the support indicator
         np.subtract(1.0, out, out=out)
         np.maximum(out, 0.0, out=out)
         out *= 0.75
         return out
-    u = t
+    u = t  # t is spent; its buffer holds u = 1 - t^2
     if q == 4:
         np.subtract(1.0, out, out=u)
         out *= 7.0 / 3.0

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import netate
-import netate.estimators as estimators_module
 import netate.cli as cli_module
+import netate.estimators as estimators_module
 import netate.harness as harness_module
 from netate import (
     KernelConfig,
