@@ -78,7 +78,7 @@ class KernelConfig:
             warnings.warn(
                 f"bandwidth {self.h_band:g} below trim threshold {self.b_trim:g}; "
                 f"trimming may discard much of the sample",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

@@ -1,7 +1,9 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from netate import (
     sample_graph,
     sample_latents,
 )
+from netate import graphon
 from netate.graphon import probe_bounds, probe_symmetry, validate_rank_form
 
 from conftest import rng_for
@@ -121,6 +124,76 @@ def test_sample_graph_rejects_bad_latents():
     spec = make_graphon("constant:0.5")
     with pytest.raises(ValueError):
         sample_graph(spec, np.array([0.2, 1.0]), rng_for(15))
+
+
+def pairwise_sample_graph(spec, latents, rng):
+    """Reference sampler: all n(n-1)/2 pairs at once, then COO -> CSR."""
+    u = np.asarray(latents, dtype=float)
+    n = u.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    probs = np.minimum(spec.edge_density(n) * np.asarray(spec.h(u[iu], u[ju]), dtype=float), 1.0)
+    hit = rng.random(iu.shape[0]) < probs
+    ei, ej = iu[hit], ju[hit]
+    data = np.ones(2 * ei.shape[0], dtype=np.float64)
+    a = sp.csr_array(
+        sp.coo_array((data, (np.concatenate([ei, ej]), np.concatenate([ej, ei]))), shape=(n, n))
+    )
+    return a, np.asarray(a.sum(axis=1)).ravel().astype(np.int64)
+
+
+BLOCK_ROWS = 4
+
+
+@pytest.mark.parametrize(
+    "key,gamma",
+    [("paper-sec3", 0.25), ("constant:0", 0.25), ("constant:5", 0.0), ("rank1:2+sin(6*x)", 0.25)],
+)
+@pytest.mark.parametrize("n", [1, 2, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2, 41])
+def test_blocked_sampler_matches_pairwise_reference(monkeypatch, key, gamma, n):
+    # blocks of BLOCK_ROWS rows: n - 1 rows hold pairs, so n = BLOCK_ROWS,
+    # BLOCK_ROWS + 1 and BLOCK_ROWS + 2 put the last row one below, at and
+    # one past a block boundary; n = 1 draws nothing
+    monkeypatch.setattr(graphon, "_BLOCK_PAIRS", BLOCK_ROWS * n)
+    spec = make_graphon(key, sparsity_exponent=gamma)
+    u = sample_latents(n, rng_for(20, n))
+    rng_ref, rng_blocked = rng_for(21, n), rng_for(21, n)
+    ref, ref_degrees = pairwise_sample_graph(spec, u, rng_ref)
+    net = sample_graph(spec, u, rng_blocked)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(net.adjacency, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert net.degrees.dtype == ref_degrees.dtype
+    assert np.array_equal(net.degrees, ref_degrees)
+    assert rng_blocked.random() == rng_ref.random()
+
+
+def test_blocked_sampler_matches_reference_at_default_block():
+    # n = 700 spans several default-size blocks
+    spec = make_graphon("paper-sec3")
+    u = sample_latents(700, rng_for(22))
+    rng_ref, rng_blocked = rng_for(23), rng_for(23)
+    ref, _ = pairwise_sample_graph(spec, u, rng_ref)
+    net = sample_graph(spec, u, rng_blocked)
+    assert (net.adjacency != ref).nnz == 0
+    assert rng_blocked.random() == rng_ref.random()
+
+
+def test_sample_graph_memory_is_adjacency_plus_block():
+    spec = make_graphon("paper-sec3")
+    n = 4000
+    u = sample_latents(n, rng_for(24))
+    rng = rng_for(25)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        net = sample_graph(spec, u, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    a = net.adjacency
+    adjacency_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    assert peak <= 3 * adjacency_bytes + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

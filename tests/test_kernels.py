@@ -70,6 +70,13 @@ def test_kernel_config_validation():
         cfg(h=0.4, b=0.8)
 
 
+def test_trim_warning_names_the_caller():
+    # the warning points past the dataclass-generated __init__ to this file
+    with pytest.warns(UserWarning, match="below trim threshold") as record:
+        KernelConfig(q=2, p=1, h_band=0.05, b_trim=50)
+    assert record[0].filename == __file__
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
