@@ -70,8 +70,7 @@ def _cmd_estimate(args) -> int:
 
     diagnostics = dict(result.diagnostics)
     if variance != "none":
-        if "components" in rec:
-            diagnostics["variance_components"] = rec["components"]
+        diagnostics["variance_components"] = rec["components"]
         diagnostics["variance_method"] = variance
         if needs_network_term and network is None:
             diagnostics["network_term"] = "omitted (no network supplied)"

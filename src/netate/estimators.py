@@ -2,9 +2,9 @@
 
 Every estimator consumes a :class:`~netate.trial.TrialData` and returns an
 :class:`EstimateResult` carrying the point estimate and method diagnostics.
-Group least-squares fits go through an orthogonal decomposition (SVD-based
-lstsq) behind an explicit reciprocal-condition-number gate; normal equations
-are never formed.
+Group least-squares fits make one orthogonal decomposition each (SVD-based
+lstsq), and the reciprocal-condition-number gate reads the singular values
+that lstsq returns; normal equations are never formed.
 """
 
 from __future__ import annotations
@@ -71,12 +71,11 @@ def _group_ols(X: np.ndarray, y: np.ndarray, label: str) -> tuple[np.ndarray, fl
     if X.shape[1] == 1:
         # intercept-only fit is the group mean; keeps the p=0 identity exact
         return np.array([y.mean()]), 1.0
-    s = np.linalg.svd(X, compute_uv=False)
-    if X.shape[0] < X.shape[1] or s[-1] == 0.0 or s[-1] / s[0] < RCOND_THRESHOLD:
-        rcond = 0.0 if (X.shape[0] < X.shape[1] or s[-1] == 0.0) else s[-1] / s[0]
+    beta, _, _, s = np.linalg.lstsq(X, y, rcond=None)
+    rcond = float(s[-1] / s[0]) if X.shape[0] >= X.shape[1] and s[-1] > 0.0 else 0.0
+    if rcond < RCOND_THRESHOLD:
         raise SingularDesignError(f"{label} design matrix is rank deficient", rcond=rcond)
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return beta, float(s[-1] / s[0])
+    return beta, rcond
 
 
 def linear_adjusted(data: TrialData) -> EstimateResult:
@@ -87,11 +86,10 @@ def linear_adjusted(data: TrialData) -> EstimateResult:
     regression on treatment, centered covariates, and their interaction.
     """
     treated, control = _groups(data)
-    X = np.column_stack([np.ones(data.n), data.Z]) if data.p else np.ones((data.n, 1))
+    X = np.column_stack([np.ones(data.n), data.Z])
     beta1, rcond1 = _group_ols(X[treated], data.Y[treated], "treated")
     beta0, rcond0 = _group_ols(X[control], data.Y[control], "control")
-    xbar = X.mean(axis=0) if data.p else np.array([1.0])
-    tau = float(xbar @ (beta1 - beta0))
+    tau = float(X.mean(axis=0) @ (beta1 - beta0))
     return EstimateResult(
         tau,
         "linear",

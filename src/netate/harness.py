@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -305,10 +305,8 @@ def _estimate_once(
 
     The record holds tau and the kept count, and unless var is "none" the
     variance v, its interval, and the same without the network term
-    (v_nonet); the spectral and conservative variances add their four
-    components.
+    (v_nonet) and the four components, whose last is the network term.
     """
-    pi = data.pi
     kept = None
     fit_data = data
     if est == "dim":
@@ -330,18 +328,17 @@ def _estimate_once(
         return result, rec
 
     if var == "polyseq":
-        v = variance_np_polyseq(
+        report = variance_np_polyseq(
             data, b_hat, (d1, d0), max_degree=settings.max_degree, rel_tol=settings.rel_tol
         )
-        v_nonet = v - b_hat * pi * (1.0 - pi) * (d1 - d0) ** 2
     else:
         report = variance_reg(fit_data, linear_adjusted(fit_data), b_hat, d1, d0)
-        c1, c2, c3, c4 = report.components
-        if var == "conservative":
-            c4 = pi * (1.0 - pi) * conservative_network_term(result.tau_hat)
-        v = c1 + c2 + c3 + c4
-        v_nonet = c1 + c2 + c3
-        rec["components"] = (c1, c2, c3, c4)
+    c1, c2, c3, c4 = report.components
+    if var == "conservative":
+        c4 = data.pi * (1.0 - data.pi) * conservative_network_term(result.tau_hat)
+    v = c1 + c2 + c3 + c4
+    v_nonet = c1 + c2 + c3
+    rec["components"] = (c1, c2, c3, c4)
 
     lo, hi = confidence_interval(result.tau_hat, v, data.n, settings.level)
     lo2, hi2 = confidence_interval(result.tau_hat, max(v_nonet, 0.0), data.n, settings.level)
@@ -370,20 +367,8 @@ class MethodSummary:
     estimates: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "reps_ok": self.reps_ok,
-            "reps_failed": self.reps_failed,
-            "mean": self.mean,
-            "variance": self.variance,
-            "mse": self.mse,
-            "n_mse": self.n_mse,
-            "coverage": self.coverage,
-            "coverage_nonet": self.coverage_nonet,
-            "ci_halfwidth": self.ci_halfwidth,
-            "mean_v_hat": self.mean_v_hat,
-            "mean_kept": self.mean_kept,
-        }
+        """Every field but the raw estimates."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "estimates"}
 
 
 @dataclass

@@ -45,8 +45,9 @@ class TrialData:
     """Observables handed to estimators: outcomes, treatments, covariates.
 
     `pi` is the design treatment probability.  `network` is required only by
-    the interference-aware variance estimators.  Group non-emptiness is an
-    estimation-time requirement, not a construction-time one.
+    the interference-aware variance estimators.  Y and Z must be finite.
+    Group non-emptiness is an estimation-time requirement, not a
+    construction-time one.
     """
 
     Y: np.ndarray
@@ -68,6 +69,8 @@ class TrialData:
             raise ValueError("Y, W, Z must share length n")
         if not np.isin(w, (0, 1)).all():
             raise ValueError("W entries must be 0 or 1")
+        if not (np.isfinite(y).all() and np.isfinite(z).all()):
+            raise ValueError("Y and Z entries must be finite")
         if not 0.0 < self.pi < 1.0:
             raise ValueError("pi must lie in (0, 1)")
         if self.network is not None and self.network.n != n:
@@ -475,7 +478,17 @@ def load_trial_csv(path, pi: float, network: Network | None = None) -> TrialData
                 continue
             if len(row) != p + 2:
                 raise ValueError(f"{path}:{lineno}: expected {p + 2} fields")
-            values = [float(v) for v in row]
+            values = []
+            for name, text in zip(header, row):
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}:{lineno}: {name.strip()} must be a finite number, got {text.strip()!r}"
+                    )
+                values.append(value)
             if values[1] not in (0.0, 1.0):
                 raise ValueError(f"{path}:{lineno}: treatment w must be 0 or 1, got {row[1].strip()}")
             rows.append(values)

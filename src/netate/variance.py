@@ -178,18 +178,15 @@ def variance_reg(
         raise ValueError("linear_fit must carry beta1/beta0 diagnostics")
     treated = data.W == 1
     control = ~treated
-    X = np.column_stack([np.ones(data.n), data.Z]) if data.p else np.ones((data.n, 1))
+    X = np.column_stack([np.ones(data.n), data.Z])
     r1 = data.Y[treated] - X[treated] @ beta1
     r0 = data.Y[control] - X[control] @ beta0
     c1 = float((r1 * r1).mean() / data.pi)
     c2 = float((r0 * r0).mean() / (1.0 - data.pi))
-    if data.p:
-        d = beta1[1:] - beta0[1:]
-        zbar = data.Z.mean(axis=0)
-        cov = data.Z.T @ data.Z / data.n - np.outer(zbar, zbar)
-        c3 = float(d @ cov @ d)
-    else:
-        c3 = 0.0
+    d = beta1[1:] - beta0[1:]
+    zbar = data.Z.mean(axis=0)
+    cov = data.Z.T @ data.Z / data.n - np.outer(zbar, zbar)
+    c3 = float(d @ cov @ d)
     c4 = float(b_hat * data.pi * (1.0 - data.pi) * (deriv1 - deriv0) ** 2)
     return VarianceReport(v_hat=c1 + c2 + c3 + c4, components=(c1, c2, c3, c4))
 
@@ -230,20 +227,20 @@ def variance_np_polyseq(
     derivs: tuple[float, float],
     max_degree: int = 5,
     rel_tol: float = 0.05,
-) -> float:
+) -> VarianceReport:
     """Variance for the nonparametric estimator via growing polynomial fits.
 
     Evaluates the four-component variance with per-coordinate monomials
     z_k, ..., z_k^d (no cross terms) for d = 0, 1, 2, ... and stops once the
     value stabilizes (relative change below rel_tol), the expansion becomes
-    ill-conditioned, or max_degree is reached.  On stabilization the
-    previous (slightly conservative) value is returned; rel_tol = inf
-    therefore returns the degree-0 value.
+    ill-conditioned, or max_degree is reached.  Returns the VarianceReport
+    of the last degree fitted, or on stabilization of the degree before it
+    (slightly conservative), so rel_tol = inf returns the degree-0 report.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     deriv1, deriv0 = derivs
-    values: list[float] = []
+    reports: list[VarianceReport] = []
     for degree in range(max_degree + 1):
         expanded = replace(data, Z=_poly_design(data.Z, degree))
         try:
@@ -252,8 +249,9 @@ def variance_np_polyseq(
             if degree == 0:
                 raise
             break
-        report = variance_reg(expanded, fit, b_hat, deriv1, deriv0)
-        values.append(report.v_hat)
-        if degree >= 1 and abs(values[-1] - values[-2]) <= rel_tol * max(abs(values[-2]), 1e-300):
-            return values[-2]
-    return values[-1]
+        reports.append(variance_reg(expanded, fit, b_hat, deriv1, deriv0))
+        if degree >= 1:
+            prev, last = reports[-2].v_hat, reports[-1].v_hat
+            if abs(last - prev) <= rel_tol * max(abs(prev), 1e-300):
+                return reports[-2]
+    return reports[-1]

@@ -91,9 +91,9 @@ def _expected(data, network, method, variance):
         b_hat = estimate_b(network)
         weights = pc_balancing_weights(network, leading_eigenpairs(network, RANK), data.W, PI)
         d1, d0 = estimate_derivative_means(data, weights, PI)
-    components = None
     if variance == "polyseq":
-        v = variance_np_polyseq(data, b_hat, (d1, d0))
+        report = variance_np_polyseq(data, b_hat, (d1, d0))
+        v, components = report.v_hat, list(report.components)
     else:
         fit_data = data if method == "linear" else replace(data, Z=np.empty((data.n, 0)))
         components = list(variance_reg(fit_data, linear_adjusted(fit_data), b_hat, d1, d0).components)
@@ -127,10 +127,7 @@ def test_estimate_matches_library_primitives(capsys, trial_files, method, varian
     assert payload["ci_low"] == pytest.approx(lo, rel=1e-12)
     assert payload["ci_high"] == pytest.approx(hi, rel=1e-12)
     assert payload["diagnostics"]["variance_method"] == variance
-    if components is None:
-        assert "variance_components" not in payload["diagnostics"]
-    else:
-        assert payload["diagnostics"]["variance_components"] == pytest.approx(components, rel=1e-12)
+    assert payload["diagnostics"]["variance_components"] == pytest.approx(components, rel=1e-12)
 
 
 def test_network_term_omitted_without_edges(capsys, trial_files):
@@ -238,6 +235,22 @@ def test_malformed_edge_list_exits_2(capsys, trial_files, tmp_path):
         "--data", str(data_path), "--pi", str(PI), "--edges", str(edges_path), "--rank", str(RANK),
     ])
     _assert_one_error_line(code, out, err, f"{edges_path}:2: non-integer field")
+
+
+@pytest.mark.parametrize("column,text,method", [
+    (0, "nan", "linear"), (2, "inf", "linear"), (2, "inf", "np"), (0, "abc", "linear"),
+])
+def test_bad_number_in_data_exits_2_naming_the_line(capsys, trial_files, tmp_path, column, text, method):
+    data_path, _ = trial_files
+    lines = data_path.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[column] = text
+    lines[3] = ",".join(fields)
+    bad_path = tmp_path / "trial.csv"
+    bad_path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(capsys, ["--data", str(bad_path), "--pi", str(PI), "--method", method])
+    name = ("y", "w", "z1")[column]
+    _assert_one_error_line(code, out, err, f"{bad_path}:4: {name} must be a finite number, got '{text}'")
 
 
 @pytest.mark.parametrize("missing", ["--data", "--edges"])

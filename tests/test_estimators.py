@@ -22,6 +22,7 @@ from netate import (
     rule_of_thumb,
     run_scenario,
 )
+from netate.estimators import RCOND_THRESHOLD, _group_ols
 from netate.kernels import weights_matrix
 
 from conftest import WORKERS, rng_for
@@ -85,6 +86,76 @@ def test_linear_duplicate_column_is_singular():
     dup = TrialData(Y=data.Y, W=data.W, Z=np.column_stack([data.Z[:, 0], data.Z[:, 0]]), pi=0.5)
     with pytest.raises(SingularDesignError):
         linear_adjusted(dup)
+
+
+def _svd_rcond(X):
+    """Reciprocal condition number of a group design from a separate SVD."""
+    s = np.linalg.svd(X, compute_uv=False)
+    return s[-1] / s[0]
+
+
+def _group_designs(data):
+    X = np.column_stack([np.ones(data.n), data.Z])
+    return X[data.W == 1], X[data.W == 0]
+
+
+def test_rank_gate_fewer_rows_than_columns():
+    data = make_data(n=40, p=2, seed=6)
+    w = np.zeros(40, dtype=int)
+    w[:2] = 1  # two treated rows against three design columns
+    with pytest.raises(SingularDesignError) as err:
+        linear_adjusted(TrialData(Y=data.Y, W=w, Z=data.Z, pi=0.5))
+    assert err.value.rcond == 0.0
+
+
+def test_rank_gate_duplicate_column_reads_lstsq_singular_values():
+    data = make_data(n=80, p=2, seed=3)
+    dup = TrialData(Y=data.Y, W=data.W, Z=np.column_stack([data.Z[:, 0], data.Z[:, 0]]), pi=0.5)
+    with pytest.raises(SingularDesignError) as err:
+        linear_adjusted(dup)
+    expected = _svd_rcond(_group_designs(dup)[0])
+    assert expected < RCOND_THRESHOLD
+    assert err.value.rcond == pytest.approx(expected, rel=1e-12)
+
+
+# group rconds near 5e-9, 2.5e-10, 1e-10 and 5e-11: the third passes only the treated group
+@pytest.mark.parametrize("delta,passes", [(1e-8, True), (5e-10, True), (2e-10, False), (1e-10, False)])
+def test_rank_gate_near_collinear_columns(delta, passes):
+    data = make_data(n=120, p=1, seed=7, noise=0.3)
+    e = rng_for(32).standard_normal(data.n)
+    z = data.Z[:, 0]
+    near = TrialData(Y=data.Y, W=data.W, Z=np.column_stack([z, z + delta * e]), pi=0.5)
+    expected1, expected0 = (_svd_rcond(X) for X in _group_designs(near))
+    assert (min(expected1, expected0) >= RCOND_THRESHOLD) == passes
+    if passes:
+        diagnostics = linear_adjusted(near).diagnostics
+        assert diagnostics["rcond1"] == pytest.approx(expected1, rel=1e-12)
+        assert diagnostics["rcond0"] == pytest.approx(expected0, rel=1e-12)
+    else:
+        with pytest.raises(SingularDesignError) as err:
+            linear_adjusted(near)
+        first_failing = next(r for r in (expected1, expected0) if r < RCOND_THRESHOLD)
+        assert err.value.rcond == pytest.approx(first_failing, rel=1e-12)
+
+
+@pytest.mark.parametrize("ratio", [2.0, 0.5])
+def test_rank_gate_either_side_of_threshold(ratio):
+    # a 50 x 3 design whose smallest singular value is ratio * RCOND_THRESHOLD
+    rng = rng_for(33)
+    U, _ = np.linalg.qr(rng.standard_normal((50, 3)))
+    V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    X = U @ np.diag([1.0, 0.5, ratio * RCOND_THRESHOLD]) @ V.T
+    y = rng.standard_normal(50)
+    expected = _svd_rcond(X)
+    assert (expected >= RCOND_THRESHOLD) == (ratio > 1.0)
+    if ratio > 1.0:
+        beta, rcond = _group_ols(X, y, "treated")
+        assert rcond == pytest.approx(expected, rel=1e-12)
+        assert np.array_equal(beta, np.linalg.lstsq(X, y, rcond=None)[0])
+    else:
+        with pytest.raises(SingularDesignError) as err:
+            _group_ols(X, y, "treated")
+        assert err.value.rcond == pytest.approx(expected, rel=1e-12)
 
 
 def test_lin_single_regression_identity():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from netate import (
+    TrialData,
     UnknownScenarioError,
     ate_oracle,
     emit_report,
@@ -14,7 +15,8 @@ from netate import (
     theoretical_variance_oracle,
     true_tau,
 )
-from netate.harness import TABLE_IDS, _resolve_method, scenario_ids
+from netate.harness import TABLE_IDS, _estimate_once, _resolve_method, _Settings, scenario_ids
+from netate.variance import conservative_network_term, variance_np_polyseq
 
 from conftest import rng_for
 
@@ -143,6 +145,29 @@ def test_interference_toggle_drops_network_term():
     assert ms.coverage is not None
     # no network: the two interval variants coincide
     assert ms.coverage == ms.coverage_nonet
+
+
+@pytest.mark.parametrize("method", ["np:polyseq", "linear:spectral", "linear:conservative", "dim:spectral"])
+def test_estimate_once_records_components_for_every_variance(method):
+    # one variance assembly: every method's record splits v into four components
+    rng = rng_for(52)
+    n, pi, b_hat, d1, d0 = 300, 0.5, 0.7, 1.3, 0.4
+    z = rng.standard_normal((n, 1))
+    w = (rng.random(n) < pi).astype(int)
+    data = TrialData(Y=w + z[:, 0] ** 2 + rng.standard_normal(n), W=w, Z=z, pi=pi)
+    settings = _Settings(alpha=0.01, h_band=None, b_trim=None, level=0.95, max_degree=5, rel_tol=0.05)
+    est, var = _resolve_method(method)
+    result, rec = _estimate_once(settings, data, est, var, b_hat, d1, d0)
+    c1, c2, c3, c4 = rec["components"]
+    assert rec["v"] == c1 + c2 + c3 + c4
+    assert rec["v_nonet"] == c1 + c2 + c3
+    if var == "conservative":
+        assert c4 == pi * (1.0 - pi) * conservative_network_term(result.tau_hat)
+    else:
+        assert c4 == pytest.approx(b_hat * pi * (1.0 - pi) * (d1 - d0) ** 2, rel=1e-15)
+    if var == "polyseq":
+        report = variance_np_polyseq(data, b_hat, (d1, d0))
+        assert rec["components"] == report.components and rec["v"] == report.v_hat
 
 
 def test_contact_scenario_uses_network_size():

@@ -299,3 +299,22 @@ def test_trial_data_validation():
         TrialData(Y=np.zeros(3), W=np.zeros(3), Z=np.zeros((2, 1)), pi=0.5)
     with pytest.raises(ValueError):
         TrialData(Y=np.zeros(3), W=np.zeros(3), Z=np.zeros((3, 1)), pi=1.5)
+
+
+@pytest.mark.parametrize("array,value", [("Y", math.nan), ("Y", math.inf), ("Z", -math.inf)])
+def test_trial_data_rejects_non_finite(array, value):
+    arrays = {"Y": np.zeros(4), "Z": np.zeros((4, 1))}
+    arrays[array].flat[2] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        TrialData(Y=arrays["Y"], W=np.array([0, 1, 0, 1]), Z=arrays["Z"], pi=0.5)
+
+
+@pytest.mark.parametrize("column,text", [(0, "nan"), (2, "inf"), (2, "abc"), (1, "")])
+def test_load_trial_csv_names_line_of_a_bad_number(tmp_path, column, text):
+    fields = ["2.0", "1", "0.3"]
+    fields[column] = text
+    path = tmp_path / "d.csv"
+    path.write_text("y,w,z1\n1.0,0,0.2\n" + ",".join(fields) + "\n")
+    name = ("y", "w", "z1")[column]
+    with pytest.raises(ValueError, match=rf"d\.csv:3: {name} must be a finite number, got '{text}'"):
+        load_trial_csv(path, pi=0.5)

@@ -368,7 +368,7 @@ def test_polyseq_linear_truth_stabilizes_at_degree_one():
     data = linear_data(n=800, seed=3, noise=0.5)
     fit = linear_adjusted(data)
     v1 = variance_reg(data, fit, 0.0, 0.0, 0.0).v_hat
-    got = variance_np_polyseq(data, 0.0, (0.0, 0.0), max_degree=4, rel_tol=0.05)
+    got = variance_np_polyseq(data, 0.0, (0.0, 0.0), max_degree=4, rel_tol=0.05).v_hat
     assert got == pytest.approx(v1, rel=0.06)
 
 
@@ -378,7 +378,7 @@ def test_polyseq_infinite_tolerance_returns_degree_zero():
 
     fit0 = linear_adjusted(replace(data, Z=np.empty((200, 0))))
     v0 = variance_reg(replace(data, Z=np.empty((200, 0))), fit0, 0.0, 0.0, 0.0).v_hat
-    got = variance_np_polyseq(data, 0.0, (0.0, 0.0), rel_tol=math.inf)
+    got = variance_np_polyseq(data, 0.0, (0.0, 0.0), rel_tol=math.inf).v_hat
     assert got == v0
 
 
@@ -388,7 +388,7 @@ def test_polyseq_singular_expansion_stops_gracefully():
     Z = np.column_stack([np.full(n, 2.0)])  # constant column: degree-1 design singular
     w = (rng.random(n) < 0.5).astype(int)
     data = TrialData(Y=rng.standard_normal(n), W=w, Z=Z, pi=0.5)
-    got = variance_np_polyseq(data, 0.0, (0.0, 0.0), rel_tol=1e-9)
+    got = variance_np_polyseq(data, 0.0, (0.0, 0.0), rel_tol=1e-9).v_hat
     from dataclasses import replace
 
     fit0 = linear_adjusted(replace(data, Z=np.empty((n, 0))))
@@ -398,8 +398,8 @@ def test_polyseq_singular_expansion_stops_gracefully():
 
 def test_polyseq_network_term_added():
     data = linear_data(n=300, seed=6, noise=0.5)
-    base = variance_np_polyseq(data, 0.0, (0.0, 0.0), rel_tol=0.05)
-    with_net = variance_np_polyseq(data, 2.0, (1.5, 0.5), rel_tol=0.05)
+    base = variance_np_polyseq(data, 0.0, (0.0, 0.0), rel_tol=0.05).v_hat
+    with_net = variance_np_polyseq(data, 2.0, (1.5, 0.5), rel_tol=0.05).v_hat
     assert with_net == pytest.approx(base + 2.0 * 0.25 * 1.0, rel=1e-9)
 
 

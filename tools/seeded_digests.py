@@ -1,0 +1,59 @@
+"""Print one sha256 per seeded output; diff two trees' listings for byte identity.
+
+Run as `PYTHONPATH=src python tools/seeded_digests.py` in each tree.  Cases:
+run_scenario summaries (JSON plus raw estimates), their emit_report files,
+reproduce_table table1/table5 at budget 0.02, and `netate estimate` on one
+seeded contact-network trial.  About 6 s on two cores.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from netate import contact_network, emit_report, get_scenario, reproduce_table, run_scenario
+from netate import trial as tr
+from netate.cli import main as cli_main
+
+SUMMARIES = [
+    ("sec31-validation", {}, 200, ("linear:spectral", "linear:conservative", "dim:conservative", "dim")),
+    *[("sec41-main", {"p": p}, 300, ("linear", "np", "linear:none", "np:none")) for p in (1, 3, 5)],
+    # n is ignored for a fixed network
+    *[("contact-vaccine", {"period": t}, 0, ("dim", "linear", "np")) for t in ("morning", "midday")],
+]
+ESTIMATES = [("dim", "spectral"), ("dim", "conservative"), ("linear", "spectral"),
+             ("linear", "conservative"), ("linear", "none"), ("np", "polyseq"), ("np", "none")]
+
+
+def emit(case: str, *parts: bytes) -> None:
+    print(f"{hashlib.sha256(b''.join(parts)).hexdigest()}  {case}", flush=True)
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    root = Path(tmp)
+    for k, (sid, kwargs, n, methods) in enumerate(SUMMARIES):
+        case = f"{sid}{''.join(f'-{v}' for v in kwargs.values())}"
+        summary = run_scenario(get_scenario(sid, **kwargs), n, methods, reps=10, seed=7)
+        emit(f"summary/{case}", json.dumps(summary.to_dict(), sort_keys=True).encode(),
+             *(ms.estimates.tobytes() for ms in summary.methods.values()))
+        files = emit_report(summary, root / f"report{k}")
+        emit(f"emit_report/{case}", *(p.name.encode() + p.read_bytes() for p in files))
+    for table in ("table1", "table5"):
+        report = reproduce_table(table, budget=0.02)
+        emit(f"reproduce/{table}", json.dumps(report, sort_keys=True).encode())
+
+    scenario, net = get_scenario("contact-vaccine", pi=0.2), contact_network("morning")
+    rng = np.random.default_rng(70)
+    w = tr.assign_treatments(net.n, 0.2, rng)
+    draw = tr.sample_covariates(scenario.outcome, net.n, rng)
+    y = tr.simulate_outcomes(scenario.outcome, w, tr.exposure_fractions(net, w), draw, rng)
+    tr.save_trial_csv(tr.TrialData(Y=y, W=w, Z=draw.Z, pi=0.2), root / "trial.csv")
+    edges = zip(*net.adjacency.nonzero())
+    (root / "edges.csv").write_text("".join(f"{i},{j}\n" for i, j in edges if i < j))
+    for method, variance in ESTIMATES:
+        out = root / f"estimate-{method}-{variance}.json"
+        code = cli_main(["estimate", "--data", str(root / "trial.csv"), "--pi", "0.2", "--edges",
+                         str(root / "edges.csv"), "--rank", "3", "--method", method,
+                         "--variance", variance, "--out", str(out)])
+        emit(f"estimate/{method}:{variance}", str(code).encode(), out.read_bytes())
