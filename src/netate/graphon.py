@@ -82,14 +82,26 @@ class GraphonSpec:
         return float(n) ** (-self.sparsity_exponent)
 
 
+def _csr_index_dtype(nnz: int, n: int) -> type:
+    """The CSR index dtype of an n-vertex adjacency with nnz stored entries.
+
+    int32 when every column index and row offset fits, else int64.  A matvec
+    then streams 12 bytes per nonzero instead of 16, and scipy's CSR kernels
+    sum in the same order for either dtype, so products are bit for bit equal.
+    """
+    return np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+
+
 @dataclass(frozen=True)
 class Network:
     """An undirected simple graph with cached degrees.
 
-    `adjacency` is a symmetric scipy CSR array with zero diagonal; `degrees`
-    is recomputable from it and must match exactly.  `latents` is populated
-    only by the graph sampler (simulation mode) and is never read by
-    estimators.
+    `adjacency` is a symmetric scipy CSR array with zero diagonal, float64
+    data and int32 `indices`/`indptr`, int64 only when its nonzero count
+    exceeds 2**31 - 1; `from_adjacency`, `from_edges` and `sample_graph` all
+    give that index dtype.  `degrees` is int64, recomputable from the
+    adjacency, and must match it exactly.  `latents` is populated only by the
+    graph sampler (simulation mode) and is never read by estimators.
     """
 
     n: int
@@ -100,6 +112,10 @@ class Network:
     @classmethod
     def from_adjacency(cls, adjacency) -> "Network":
         a = sp.csr_array(adjacency, dtype=np.float64)
+        idx = _csr_index_dtype(a.nnz, max(a.shape))
+        a = sp.csr_array(
+            (a.data, a.indices.astype(idx, copy=False), a.indptr.astype(idx, copy=False)), shape=a.shape
+        )
         n = a.shape[0]
         if a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be square")
@@ -305,10 +321,11 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
         row_hits[rows] = counts
         # block position p in row i, starting at s_i, is the pair (i, p - s_i + i + 1)
         hit_cols.append(pos + np.repeat(rows + 1 - (ends - lengths), counts))
-    cols = np.concatenate(hit_cols)
+    idx = _csr_index_dtype(2 * int(row_hits.sum()), n)
+    cols = np.concatenate(hit_cols, dtype=idx)
     del hit_cols
     if cols.size:
-        up_ptr = np.zeros(n + 1, dtype=np.int64)
+        up_ptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(row_hits, out=up_ptr[1:])
         # the transpose lists each row's neighbours below the diagonal, sorted
         low = sp.csr_array((np.ones(cols.size), cols, up_ptr), shape=(n, n)).tocsc()
@@ -316,7 +333,7 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
         upper_slot = np.repeat(
             np.tile([False, True], n), np.column_stack([np.diff(low.indptr), row_hits]).ravel()
         )
-        indices = np.empty(upper_slot.shape[0], dtype=np.int64)
+        indices = np.empty(upper_slot.shape[0], dtype=idx)
         indices[upper_slot] = cols
         indices[~upper_slot] = low.indices
         indptr = up_ptr + low.indptr

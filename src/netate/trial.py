@@ -67,7 +67,7 @@ class TrialData:
         n = y.shape[0]
         if w.shape[0] != n or z.shape[0] != n:
             raise ValueError("Y, W, Z must share length n")
-        if not np.isin(w, (0, 1)).all():
+        if not ((w == 0) | (w == 1)).all():
             raise ValueError("W entries must be 0 or 1")
         if not (np.isfinite(y).all() and np.isfinite(z).all()):
             raise ValueError("Y and Z entries must be finite")

@@ -36,9 +36,13 @@ __all__ = [
     "conservative_network_term",
     "variance_np_polyseq",
     "DENSE_EIG_THRESHOLD",
+    "LANCZOS_TOL",
 ]
 
 DENSE_EIG_THRESHOLD = 300
+# eigsh's relative accuracy goal on the Lanczos path (its default, 0, means
+# machine precision); leading_eigenpairs states what it guarantees
+LANCZOS_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -82,13 +86,25 @@ def leading_eigenpairs(network: Network, r: int) -> SpectralDecomposition:
 
     Dense symmetric eigendecomposition up to DENSE_EIG_THRESHOLD = 300
     vertices (and whenever r >= n - 1); ARPACK Lanczos (``eigsh``, k=r,
-    which="LM", tol=0) above.  The threshold is the measured crossover: on
-    paper-sec3 graphs with r=3, best of 7 on a 2-core Xeon, dense ``eigh``
-    takes 10-11 / 31 / 143-161 / 1061 ms at n = 300 / 500 / 1000 / 2000
-    against 11-12 / 16-18 / 50-52 / 202 ms for Lanczos, which computes only
-    the r pairs kept.  Either path must satisfy the residual invariant
-    ||A psi - lambda psi|| <= 1e-6 ||A||; a graph without edges returns
-    eigenvalues 0 with the first r unit vectors on both paths.
+    which="LM", tol=LANCZOS_TOL) above, which computes only the r pairs
+    kept.  The threshold is the measured crossover: on paper-sec3 graphs
+    with r=3, best of 7 on a 2-core Xeon, dense ``eigh`` takes 10-11 / 31 /
+    143-161 / 1061 ms at n = 300 / 500 / 1000 / 2000 against 11-12 / 16-18
+    / 50-52 / 202 ms for Lanczos at tol=0.  Either path must satisfy the
+    residual invariant ||A psi - lambda psi|| <= 1e-6 ||A||; a graph
+    without edges returns eigenvalues 0 with the first r unit vectors on
+    both paths.
+
+    LANCZOS_TOL = 1e-11 stops ARPACK once each Ritz pair's residual
+    estimate is at most 1e-11 |lambda_k|, so a Lanczos residual is about
+    1e-11 |lambda_1| at most, five orders inside the invariant (measured:
+    below 0.12e-11 |lambda_1|).  The PC-balancing weights need only the
+    span of the r eigenvectors: on paper-sec3 graphs (40 at n=1000, 4 at
+    n=4000) they moved from the tol=0 pairs by at most 1.8e-11 relative,
+    and the derivative means by at most 5.1e-11.  With the int32 indices of
+    `Network`, a call falls from 54-81 to 39-47 ms at n=1000 and from
+    1.8-2.0 to 1.2-1.3 s at n=4000 (medians of 5 and 3 graphs, best of 3,
+    2-core Xeon).
 
     The Lanczos start vector is a fixed-seed Gaussian, drawn from its own
     generator (never the caller's, so no later draw moves).  The constant
@@ -115,7 +131,7 @@ def leading_eigenpairs(network: Network, r: int) -> SpectralDecomposition:
         return SpectralDecomposition(eigenvalues=np.zeros(r), eigenvectors=np.eye(n, r))
     else:
         v0 = np.random.default_rng(0).standard_normal(n)
-        vals, vecs = spla.eigsh(network.adjacency, k=r, which="LM", v0=v0)
+        vals, vecs = spla.eigsh(network.adjacency, k=r, which="LM", v0=v0, tol=LANCZOS_TOL)
         order = np.argsort(-np.abs(vals), kind="stable")
     return SpectralDecomposition(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 

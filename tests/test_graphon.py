@@ -161,7 +161,7 @@ def test_blocked_sampler_matches_pairwise_reference(monkeypatch, key, gamma, n):
     net = sample_graph(spec, u, rng_blocked)
     for name in ("indptr", "indices", "data"):
         got, want = getattr(net.adjacency, name), getattr(ref, name)
-        assert got.dtype == want.dtype, name
+        assert got.dtype == (want.dtype if name == "data" else np.int32), name
         assert np.array_equal(got, want), name
     assert net.degrees.dtype == ref_degrees.dtype
     assert np.array_equal(net.degrees, ref_degrees)
@@ -177,6 +177,34 @@ def test_blocked_sampler_matches_reference_at_default_block():
     net = sample_graph(spec, u, rng_blocked)
     assert (net.adjacency != ref).nnz == 0
     assert rng_blocked.random() == rng_ref.random()
+
+
+def test_every_constructor_gives_int32_indices():
+    rng = rng_for(26)
+    sampled = sample_graph(make_graphon("paper-sec3"), sample_latents(500, rng), rng)
+    a = sampled.adjacency
+    wide = sp.csr_array((a.data, a.indices.astype(np.int64), a.indptr.astype(np.int64)), shape=a.shape)
+    assert wide.indices.dtype == np.int64 and wide.indptr.dtype == np.int64
+    nets = {
+        "sample_graph": sampled,
+        "from_adjacency": Network.from_adjacency(wide),
+        "from_edges": Network.from_edges(500, sampled.edge_array()),
+    }
+    for name, net in nets.items():
+        assert net.adjacency.indices.dtype == np.int32, name
+        assert net.adjacency.indptr.dtype == np.int32, name
+        assert (net.adjacency != a).nnz == 0, name
+    # scipy's CSR products sum in the same order for either index dtype
+    x = rng.standard_normal((500, 3))
+    assert np.array_equal(a @ x[:, 0], wide @ x[:, 0])
+    assert np.array_equal(a @ x, wide @ x)
+
+
+def test_csr_index_dtype_widens_past_int32():
+    top = int(np.iinfo(np.int32).max)
+    assert graphon._csr_index_dtype(top, 10) is np.int32
+    assert graphon._csr_index_dtype(top + 1, 10) is np.int64
+    assert graphon._csr_index_dtype(0, top + 1) is np.int64
 
 
 def test_sample_graph_memory_is_adjacency_plus_block():

@@ -141,10 +141,10 @@ def paper_trial(n, seed):
     return TrialData(Y=y, W=w, Z=draw.Z, pi=0.5, network=net)
 
 
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("n", [500, 1000])
+@pytest.mark.parametrize("n,seed", [(500, s) for s in range(3)] + [(1000, s) for s in range(13)])
 def test_eigenpairs_dense_and_lanczos_agree_downstream(monkeypatch, n, seed):
-    # the two paths must give the same network term, not just valid pairs
+    # the two paths must give the same network term, not just valid pairs:
+    # Lanczos stops at LANCZOS_TOL, and its residuals must show that it did
     data = paper_trial(n, seed)
     net = data.network
     out = {}
@@ -152,11 +152,13 @@ def test_eigenpairs_dense_and_lanczos_agree_downstream(monkeypatch, n, seed):
         monkeypatch.setattr(netate.variance, "DENSE_EIG_THRESHOLD", threshold)
         dec = leading_eigenpairs(net, 3)
         wt = pc_balancing_weights(net, dec, data.W, 0.5)
-        out[path] = (dec.eigenvalues, wt, estimate_derivative_means(data, wt, 0.5))
-    (vd, wd, dd), (vl, wl, dl) = out["dense"], out["lanczos"]
+        out[path] = (dec, wt, estimate_derivative_means(data, wt, 0.5))
+    (decd, wd, dd), (decl, wl, dl) = out["dense"], out["lanczos"]
+    vd, vl = decd.eigenvalues, decl.eigenvalues
     assert np.max(np.abs(vl - vd)) <= 1e-10 * abs(vd[0])
     assert np.max(np.abs(wl - wd)) <= 1e-9 * np.max(np.abs(wd))
     assert dl == pytest.approx(dd, rel=1e-9)
+    assert (decl.residual_norms(net) <= 2 * netate.variance.LANCZOS_TOL * abs(vl[0])).all()
 
 
 def test_eigenpairs_lanczos_sees_antisymmetric_directions():

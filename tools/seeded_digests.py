@@ -1,9 +1,8 @@
 """Print one sha256 per seeded output; diff two trees' listings for byte identity.
 
-Run as `PYTHONPATH=src python tools/seeded_digests.py` in each tree.  Cases:
-run_scenario summaries (JSON plus raw estimates), their emit_report files,
-reproduce_table table1/table5 at budget 0.02, and `netate estimate` on one
-seeded contact-network trial.  About 6 s on two cores.
+Run as `PYTHONPATH=src python tools/seeded_digests.py` in each tree; about 7 s on two cores.
+Cases: run_scenario summaries (JSON plus raw estimates; only n=400 runs Lanczos), their
+emit_report files, reproduce_table table1/table5 at budget 0.02, and `netate estimate`.
 """
 
 import hashlib
@@ -18,6 +17,7 @@ from netate.cli import main as cli_main
 
 SUMMARIES = [
     ("sec31-validation", {}, 200, ("linear:spectral", "linear:conservative", "dim:conservative", "dim")),
+    ("sec31-validation", {"pi": 0.5}, 400, ("linear:spectral",)),  # n > 300: Lanczos eigenpairs
     *[("sec41-main", {"p": p}, 300, ("linear", "np", "linear:none", "np:none")) for p in (1, 3, 5)],
     # n is ignored for a fixed network
     *[("contact-vaccine", {"period": t}, 0, ("dim", "linear", "np")) for t in ("morning", "midday")],
