@@ -140,15 +140,28 @@ def function_adjusted(data: TrialData, g1: Callable, g0: Callable) -> EstimateRe
     return EstimateResult(tau, "function_adjusted", {})
 
 
+def _np_columns(data: TrialData) -> np.ndarray:
+    """The (n, 5) right-hand side [1, w, 1 - w, Y w, Y (1 - w)] of the kernel sums."""
+    w = data.W.astype(float)
+    return np.column_stack([np.ones(data.n), w, 1.0 - w, data.Y * w, data.Y * (1.0 - w)])
+
+
 def _np_tuning(
     n: int,
     p: int,
     alpha: float,
     Z: np.ndarray,
+    rhs: np.ndarray,
     h_band: float | None = None,
     b_trim: float | None = None,
 ) -> tuple[int, float, float, np.ndarray | None]:
-    """rule_of_thumb plus the kernel weights matrix when one was computed."""
+    """rule_of_thumb plus the kernel sums K @ rhs when they were computed.
+
+    rhs is (n, k) with a first column of ones, so the sums' column 0 is the
+    unscaled density estimate that the trim level needs.  The sums come
+    from one symmetric pass of weights_matrix in O(n k + _BLOCK_BYTES)
+    memory; no (n, n) array is made.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     q = kernel_order_for_dimension(p)
@@ -165,15 +178,15 @@ def _np_tuning(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # placeholder trim level, not a user config
         probe = KernelConfig(q=q, p=p, h_band=h, b_trim=math.inf)
-    kmat = weights_matrix(Z, probe)
-    p_hat = kmat.sum(axis=1) / (n * h**p)
+    sums = weights_matrix(Z, probe, rhs=rhs)
+    p_hat = sums[:, 0] / (n * h**p)
     c2 = float(np.quantile(p_hat, alpha))
     if c2 <= 0:
         raise ValueError(
             f"the {alpha}-quantile of the density estimates is {c2:g} <= 0; "
             f"pass b_trim explicitly"
         )
-    return q, h, c2 * float(n) ** (-1.0 / a2), kmat
+    return q, h, c2 * float(n) ** (-1.0 / a2), sums
 
 
 def rule_of_thumb(
@@ -191,27 +204,34 @@ def rule_of_thumb(
     a2 = (3p + 18q)/(q - p/2) and C2 the alpha-quantile of the density
     estimates at the sample points.  Either tuning value can be overridden.
     """
-    q, h, b, _ = _np_tuning(n, p, alpha, Z, h_band=h_band, b_trim=b_trim)
+    q, h, b, _ = _np_tuning(n, p, alpha, Z, np.ones((n, 1)), h_band=h_band, b_trim=b_trim)
     return q, h, b
 
 
 def nonparametric(
-    data: TrialData, config: KernelConfig, weights: np.ndarray | None = None
+    data: TrialData, config: KernelConfig, sums: np.ndarray | None = None
 ) -> EstimateResult:
     """Trimmed average of local-constant group fits at every sample point.
 
     Points are kept when both group density estimates exceed the trim level
     and the pooled density exceeds TRIM_FACTOR times it; trimmed points
     contribute zero but stay in the 1/n averaging.  The group proportion
-    pi_hat = mean(W) feeds the group density estimates.  `weights` may carry
-    a precomputed weights_matrix(data.Z, config) to avoid recomputation.
+    pi_hat = mean(W) feeds the group density estimates.
+
+    Everything here is read from five kernel sums per point, K @ V with
+    V = [1, w, 1 - w, Y w, Y (1 - w)]: the density, the group masses den1
+    and den0, and the numerators num1 and num0.  den0 is a sum of its own,
+    not the density minus den1: with the signed higher-order kernels that
+    difference cancels where den0 is near zero, which is where the
+    trimming tests read it.  `sums` may carry K @ V from _np_tuning's pass;
+    otherwise one symmetric pass of weights_matrix computes it, in
+    O(n * 5 + _BLOCK_BYTES) memory.  Either way no (n, n) array is made.
     """
     treated, control = _groups(data)
     if config.p != data.p:
         raise ValueError("kernel config dimension does not match the data")
     n = data.n
-    w = data.W.astype(float)
-    pi_hat = float(w.mean())
+    pi_hat = float(data.W.mean())
     diagnostics: dict[str, Any] = {
         "q": config.q,
         "h_band": config.h_band,
@@ -228,13 +248,13 @@ def nonparametric(
         diagnostics.update({"kept": n, "trimmed": 0, "reclassified": 0})
         return EstimateResult(tau, "nonparametric", diagnostics)
 
-    kmat = weights if weights is not None else weights_matrix(data.Z, config)
-    if kmat.shape != (n, n):
-        raise ValueError("weights matrix shape does not match the data")
+    if sums is None:
+        sums = weights_matrix(data.Z, config, rhs=_np_columns(data))
+    if sums.shape != (n, 5):
+        raise ValueError("kernel sums shape does not match the data")
     scale = n * config.h_band**config.p
-    den1 = kmat @ w
-    den0 = kmat @ (1.0 - w)
-    p_hat = kmat.sum(axis=1) / scale
+    p_hat = sums[:, 0] / scale
+    den1, den0, num1, num0 = sums[:, 1:].T
     p1 = den1 / (scale * pi_hat)
     p2 = den0 / (scale * (1.0 - pi_hat))
     kept = (p1 > config.b_trim) & (p2 > config.b_trim) & (p_hat > TRIM_FACTOR * config.b_trim)
@@ -247,8 +267,6 @@ def nonparametric(
     if not kept.any():
         raise AllTrimmedError("every point failed the trimming conditions")
 
-    num1 = kmat @ (data.Y * w)
-    num0 = kmat @ (data.Y * (1.0 - w))
     contrast = num1[kept] / den1[kept] - num0[kept] / den0[kept]
     tau = float(contrast.sum() / n)
     diagnostics.update(

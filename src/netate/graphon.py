@@ -13,7 +13,9 @@ tests and the simulation harness can use them as oracles.
 
 from __future__ import annotations
 
+import ast
 import csv
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -113,9 +115,8 @@ class Network:
     def from_adjacency(cls, adjacency) -> "Network":
         a = sp.csr_array(adjacency, dtype=np.float64)
         idx = _csr_index_dtype(a.nnz, max(a.shape))
-        a = sp.csr_array(
-            (a.data, a.indices.astype(idx, copy=False), a.indptr.astype(idx, copy=False)), shape=a.shape
-        )
+        # copies: the frozen Network must not share arrays the caller can write
+        a = sp.csr_array((a.data.copy(), a.indices.astype(idx), a.indptr.astype(idx)), shape=a.shape)
         n = a.shape[0]
         if a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be square")
@@ -179,15 +180,52 @@ def _quadratic_h(x, y):
     return x * x + y * y + x * y + 0.1
 
 
-def _parse_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
-    import sympy
+_EXPR_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                ast.Div: operator.truediv, ast.Pow: operator.pow}
+_EXPR_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+_EXPR_FUNCS = {f: getattr(np, f) for f in ("sin", "cos", "tan", "arcsin", "arccos", "arctan", "sinh",
+                                           "cosh", "tanh", "exp", "log", "sqrt", "abs")}
 
-    x = sympy.Symbol("x")
-    parsed = sympy.sympify(expr)
-    extra = parsed.free_symbols - {x}
-    if extra:
-        raise UnknownGraphonError(f"expression may only use 'x', got extra symbols {extra}")
-    return sympy.lambdify(x, parsed, modules="numpy")
+
+def _parse_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
+    """A function of x from `expr`: numbers, x, + - * / **, unary -, and numpy functions.
+
+    Anything else, another name included, is an UnknownGraphonError.  The
+    result has x's shape, so a constant expression is broadcast.
+    """
+    try:
+        tree = ast.parse(expr.strip(), mode="eval").body
+    except SyntaxError:
+        raise UnknownGraphonError(f"cannot parse expression {expr!r}") from None
+
+    def build(node) -> Callable:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            value = float(node.value)
+            return lambda x: value
+        if isinstance(node, ast.Name):
+            if node.id != "x":
+                raise UnknownGraphonError(f"expression may only use 'x', got {node.id!r}")
+            return lambda x: x
+        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINARY:
+            op, left, right = _EXPR_BINARY[type(node.op)], build(node.left), build(node.right)
+            return lambda x: op(left(x), right(x))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNARY:
+            op, arg = _EXPR_UNARY[type(node.op)], build(node.operand)
+            return lambda x: op(arg(x))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _EXPR_FUNCS and len(node.args) == 1 and not node.keywords):
+            fn, arg = _EXPR_FUNCS[node.func.id], build(node.args[0])
+            return lambda x: fn(arg(x))
+        raise UnknownGraphonError(f"unsupported term {ast.unparse(node)!r} in expression {expr!r}")
+
+    f = build(tree)
+
+    def psi(x):
+        x = np.asarray(x, dtype=float)
+        out = f(x)
+        return out if isinstance(out, np.ndarray) and out.shape == x.shape else np.full(x.shape, out)
+
+    return psi
 
 
 def make_graphon(key: str, sparsity_exponent: float = 0.25) -> GraphonSpec:

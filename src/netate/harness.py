@@ -22,6 +22,7 @@ import numpy as np
 from ._errors import NetateError, UnknownScenarioError
 from .estimators import (
     EstimateResult,
+    _np_columns,
     _np_tuning,
     difference_in_means,
     linear_adjusted,
@@ -316,11 +317,12 @@ def _estimate_once(
     elif est == "linear":
         result = linear_adjusted(data)
     else:
-        q, h, b, kmat = _np_tuning(
-            data.n, data.p, settings.alpha, data.Z, h_band=settings.h_band, b_trim=settings.b_trim
+        q, h, b, sums = _np_tuning(
+            data.n, data.p, settings.alpha, data.Z, _np_columns(data),
+            h_band=settings.h_band, b_trim=settings.b_trim,
         )
         config = KernelConfig(q=q, p=data.p, h_band=h, b_trim=b)
-        result = nonparametric(data, config, weights=kmat)
+        result = nonparametric(data, config, sums=sums)
         kept = result.diagnostics["kept"]
 
     rec = {"tau": result.tau_hat, "kept": kept}

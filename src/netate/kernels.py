@@ -12,8 +12,13 @@ Conventions:
 Orders 4 and 6 take negative values, so density estimates built from them
 are returned signed, exactly as the trimming indicator consumes them.
 
-The (m, n) weights matrix is filled a block of rows at a time through two
-scratch buffers of about _BLOCK_BYTES each, so no n x n temporary is made.
+The estimator needs kernel sums, not kernel weights: K @ V for the five
+columns V of nonparametric.  weights_matrix(Z, config, rhs=V) computes them
+in one pass over the upper triangle of the symmetric (n, n) K, a panel of
+rows at a time through three scratch buffers of about _BLOCK_BYTES each, so
+memory is O(n k + _BLOCK_BYTES) and no n x n array is made.  The (m, n)
+weights matrix itself is filled a block of rows at a time through two such
+buffers, so no temporary beyond the result is made.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ __all__ = [
 ]
 
 _ORDERS = (2, 4, 6)
-# bytes per scratch buffer of weights_matrix: each row block is about this
-# size, so the buffers stay in L2; on a 2-core Xeon, 64-512 KiB timed the
-# same within noise and 128 KiB was fastest
+# bytes per scratch buffer of weights_matrix: each row block or panel is
+# about this size, so the buffers stay in L2; on a 2-core Xeon, 64-512 KiB
+# timed the same within noise and 128 KiB was fastest
 _BLOCK_BYTES = 128 * 1024
 
 
@@ -164,44 +169,91 @@ def _query_weights(Z: np.ndarray, z, config: KernelConfig) -> np.ndarray:
     return weights_matrix(Z, config, at=z[None, :])[0]
 
 
-def weights_matrix(Z: np.ndarray, config: KernelConfig, at=None) -> np.ndarray:
-    """Kernel weights around query points; entry (i, j) is K((z_j - at_i)/h).
+def _fill_block(block, Zt, at, config: KernelConfig, t, k_buf) -> None:
+    """block[i, j] = K((Zt[:, j] - at[i]) / h), the p factors multiplied in coordinate order.
 
-    `at` is an (m, p) matrix of query points, Z itself by default.  This is
-    the one evaluation routine: the single-point functions below take their
-    one row from it.  An infinite bandwidth needs no branch: every scaled
-    difference is then 0, so every weight is K(0)^p, and a finite sum over
-    n h^p is 0.
+    t and k_buf are scratch of block's shape.  Every entry is the product
+    K_1 * ... * K_p of its 1-D factors, as a whole-matrix loop over the
+    coordinates would compute it.
+    """
+    for k in range(config.p):
+        np.subtract(Zt[k], at[:, k, None], out=t)
+        t /= config.h_band
+        if k == 0:
+            _kernel_1d(config.q, t, out=block)  # 1.0 * K_1 is K_1
+        else:
+            block *= _kernel_1d(config.q, t, out=k_buf)
 
-    Rows are filled a block at a time, each block's p factors passing
-    through two scratch buffers that every block reuses, so memory is the
-    (m, n) result plus O(_BLOCK_BYTES) scratch.  Every entry is the product
-    K_1 * ... * K_p of its 1-D factors in coordinate order, as a
-    whole-matrix loop over the coordinates would compute it.
+
+def weights_matrix(Z: np.ndarray, config: KernelConfig, at=None, rhs=None) -> np.ndarray:
+    """Kernel weights around query points, or the kernel sums K @ rhs.
+
+    Without `rhs`, entry (i, j) of the (m, n) result is K((z_j - at_i)/h),
+    where `at` is an (m, p) matrix of query points, Z itself by default.
+    This is the one evaluation routine: the single-point functions below
+    take their one row from it.  Rows are filled a block at a time through
+    two scratch buffers that every block reuses, so memory is the (m, n)
+    result plus O(_BLOCK_BYTES) scratch.
+
+    With `rhs`, an (n, k) matrix, the result is the (n, k) matrix K @ rhs,
+    K the (n, n) weights of the sample about itself (`at` must be None).
+    K is symmetric bit for bit (z_i - z_j is exactly -(z_j - z_i), and each
+    order reads only t^2), so one pass over its upper triangle suffices:
+    the panel of rows s..s+b, over columns s..n-1, adds block @ rhs[s:] to
+    its own rows and block[:, b:].T @ rhs[s:s+b] to the later ones.  Each
+    entry is the one the full matrix holds; only the order of the sums
+    differs.  The kernel is evaluated about n^2/2 times, and memory is the
+    (n, k) result, one (n, k) buffer and three of about _BLOCK_BYTES: no
+    (n, n) array is made.
+
+    An infinite bandwidth needs no branch: every scaled difference is then
+    0, so every weight is K(0)^p, and a finite sum over n h^p is 0.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
         Z = Z[:, None]
+    if rhs is not None and at is not None:
+        raise ValueError("kernel sums are over the sample itself; pass at=None with rhs")
     at = Z if at is None else np.asarray(at, dtype=float)
     if Z.shape[1] != config.p or at.ndim != 2 or at.shape[1] != config.p:
         raise ValueError("covariate dimensions do not match the kernel config")
     m, n = at.shape[0], Z.shape[0]
+    Zt = np.ascontiguousarray(Z.T)
+    if rhs is not None:
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim != 2 or rhs.shape[0] != n:
+            raise ValueError(f"rhs must be an ({n}, k) matrix")
+        return _symmetric_sums(Z, Zt, config, rhs)
     out = np.empty((m, n))
     rows = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
-    Zt = np.ascontiguousarray(Z.T)
     t_buf = np.empty((min(rows, m), n))
     k_buf = np.empty_like(t_buf)
     for start in range(0, m, rows):
         block = out[start : start + rows]
         b = block.shape[0]
-        for k in range(config.p):
-            t = t_buf[:b]
-            np.subtract(Zt[k], at[start : start + b, k, None], out=t)
-            t /= config.h_band
-            if k == 0:
-                _kernel_1d(config.q, t, out=block)  # 1.0 * K_1 is K_1
-            else:
-                block *= _kernel_1d(config.q, t, out=k_buf[:b])
+        _fill_block(block, Zt, at[start : start + b], config, t_buf[:b], k_buf[:b])
+    return out
+
+
+def _symmetric_sums(Z, Zt, config: KernelConfig, rhs: np.ndarray) -> np.ndarray:
+    """K @ rhs from the upper triangle of K, one panel of rows at a time."""
+    n = Z.shape[0]
+    out = np.zeros((n, rhs.shape[1]))
+    below = np.empty_like(out)  # the panel's contribution to later rows
+    # block, t and k scratch; a panel of b rows and w = n - s columns has
+    # b = _BLOCK_BYTES / (8 w) rows, so panels grow taller as w shrinks
+    bufs = np.empty((3, max(_BLOCK_BYTES // 8, n)))
+    s = 0
+    while s < n:
+        w = n - s
+        b = min(w, max(1, _BLOCK_BYTES // (8 * w)))
+        block, t, k_buf = (buf[: b * w].reshape(b, w) for buf in bufs)
+        _fill_block(block, Zt[:, s:], Z[s : s + b], config, t, k_buf)
+        out[s : s + b] += block @ rhs[s:]
+        rest = below[: w - b]
+        np.matmul(block[:, b:].T, rhs[s : s + b], out=rest)
+        out[s + b :] += rest
+        s += b
     return out
 
 

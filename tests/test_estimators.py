@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from netate import (
     rule_of_thumb,
     run_scenario,
 )
-from netate.estimators import RCOND_THRESHOLD, _group_ols
+from netate.estimators import RCOND_THRESHOLD, TRIM_FACTOR, _group_ols, _np_columns, _np_tuning
 from netate.kernels import weights_matrix
 
 from conftest import WORKERS, rng_for
@@ -390,3 +391,95 @@ def test_variance_ordering_linear_vs_dim():
 def test_nonparametric_dominates_linear_mse(smooth_p5_alpha05_study):
     ms = smooth_p5_alpha05_study.methods
     assert ms["np:none"].n_mse < ms["linear:none"].n_mse
+
+
+# ---------------------------------------------------------------------------
+# kernel sums against the full weights matrix
+# ---------------------------------------------------------------------------
+
+def _dense_reference(data, config):
+    """The estimator from the (n, n) weights matrix.
+
+    Returns tau, the kept and reclassified masks, and p1, p2 and p_hat.
+    """
+    kmat = weights_matrix(data.Z, config)
+    w = data.W.astype(float)
+    scale = data.n * config.h_band**config.p
+    den1, den0 = kmat @ w, kmat @ (1.0 - w)
+    p1 = den1 / (scale * w.mean())
+    p2 = den0 / (scale * (1.0 - w.mean()))
+    kept = (p1 > config.b_trim) & (p2 > config.b_trim)
+    kept &= kmat.sum(axis=1) / scale > TRIM_FACTOR * config.b_trim
+    bad = kept & ((den1 <= 0.0) | (den0 <= 0.0))
+    kept &= ~bad
+    num1, num0 = kmat @ (data.Y * w), kmat @ (data.Y * (1.0 - w))
+    tau = (num1[kept] / den1[kept] - num0[kept] / den0[kept]).sum() / data.n
+    return tau, kept, bad, p1, p2, kmat.sum(axis=1) / scale
+
+
+@pytest.mark.parametrize("p", [1, 3, 5])
+def test_nonparametric_sums_match_dense_reference(p):
+    rng = rng_for(46, p)
+    n = 400
+    Z = rng.standard_normal((n, p))
+    w = (rng.random(n) < 0.5).astype(int)
+    y = w * (1.0 + Z[:, 0]) + Z[:, 0] ** 2 + 0.1 * rng.standard_normal(n)
+    data = TrialData(Y=y, W=w, Z=Z, pi=0.5)
+    q, h, b = rule_of_thumb(n, p, 0.05, Z)
+    config = KernelConfig(q=q, p=p, h_band=h, b_trim=b)
+    tau, kept, bad, *_ = _dense_reference(data, config)
+    d = nonparametric(data, config)
+    assert d.tau_hat == pytest.approx(tau, rel=1e-12)
+    assert (d.diagnostics["kept"], d.diagnostics["reclassified"]) == (kept.sum(), bad.sum())
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_nonparametric_trim_boundary_matches_dense_reference(side):
+    # b_trim 1e-12 (relative) below or above one point's p1: the blocked sums
+    # round differently from the full matrix products, but far less than that
+    rng = rng_for(47)
+    n = 300
+    Z = rng.standard_normal((n, 5))
+    w = (rng.random(n) < 0.5).astype(int)
+    y = Z[:, 0] + w + 0.1 * rng.standard_normal(n)
+    data = TrialData(Y=y, W=w, Z=Z, pi=0.5)
+    probe = KernelConfig(q=4, p=5, h_band=2.0, b_trim=1.0)
+    *_, p1, p2, p_hat = _dense_reference(data, probe)
+    # a point whose p1 alone sets its fate at b_trim = p1
+    room = (p1 > 0) & (p2 > 1.1 * p1) & (p_hat > 1.1 * p1)
+    i = int(np.flatnonzero(room)[np.argmin(p1[room])])
+    config = KernelConfig(q=4, p=5, h_band=2.0, b_trim=p1[i] * (1.0 + side * 1e-12))
+    tau, kept, bad, *_ = _dense_reference(data, config)
+    assert kept[i] == (side < 0)
+    d = nonparametric(data, config)
+    assert d.tau_hat == pytest.approx(tau, rel=1e-12)
+    assert (d.diagnostics["kept"], d.diagnostics["reclassified"]) == (kept.sum(), bad.sum())
+
+
+def test_np_path_allocates_no_n_by_n_array():
+    n = 2000
+    rng = rng_for(48)
+    Z = rng.standard_normal((n, 5))
+    w = (rng.random(n) < 0.5).astype(int)
+    data = TrialData(Y=Z[:, 0] + w, W=w, Z=Z, pi=0.5)
+    tracemalloc.start()
+    try:
+        q, h, b, sums = _np_tuning(n, 5, 0.05, Z, _np_columns(data))
+        nonparametric(data, KernelConfig(q=q, p=5, h_band=h, b_trim=b), sums=sums)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (n, 5)
+    assert peak < n * n * 8 / 16
+
+
+def test_np_tuning_reuses_its_sums_and_checks_their_shape():
+    data = np_data(n=120)
+    q, h, b, sums = _np_tuning(data.n, 1, 0.05, data.Z, _np_columns(data))
+    config = KernelConfig(q=q, p=1, h_band=h, b_trim=b)
+    assert nonparametric(data, config, sums=sums).tau_hat == nonparametric(data, config).tau_hat
+    with pytest.raises(ValueError, match="kernel sums shape"):
+        nonparametric(data, config, sums=sums[:, :4])
+    # h = inf: every density estimate is 0, so no trim level follows from them
+    with pytest.raises(ValueError, match="pass b_trim explicitly"):
+        _np_tuning(data.n, 1, 0.05, data.Z, _np_columns(data), h_band=math.inf)

@@ -244,6 +244,22 @@ def test_rank1_expression_is_normalized():
     assert float(spec.h(0.2, 0.7)) == pytest.approx(1.2 * 1.7, abs=1e-10)
 
 
+def test_rank1_constant_expression_is_broadcast():
+    spec = make_graphon("rank1:2")
+    assert np.array_equal(spec.h(0.3, np.array([0.1, 0.5, 0.9])), np.full(3, 4.0))
+    assert graphon_b(spec) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_rank1_expression_grammar():
+    psi = graphon._parse_expr("-x**2 + exp(-x) / 2 - sqrt(x) * log(1 + x) + cos(3 * x)")
+    x = np.linspace(0.0, 1.0, 7)
+    want = -(x**2) + np.exp(-x) / 2 - np.sqrt(x) * np.log(1 + x) + np.cos(3 * x)
+    assert np.allclose(psi(x), want, rtol=1e-15, atol=0)
+    for bad in ("__import__('os')", "x.real", "np.sin(x)", "sin(x, 2)", "lambda: 1", "True", "1 +"):
+        with pytest.raises(UnknownGraphonError):
+            make_graphon(f"rank1:{bad}")
+
+
 def test_rank_graphon_rejects_unordered_eigenvalues():
     with pytest.raises(ValueError):
         rank_graphon([1.0, 2.0], [lambda x: np.ones_like(x)] * 2)
@@ -326,6 +342,20 @@ def test_network_validation():
     loop = np.array([[1.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         Network.from_adjacency(loop)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_from_adjacency_does_not_share_the_callers_arrays(index_dtype):
+    a = sp.csr_array(np.array([[0, 1.0], [1, 0]]))
+    a.indices, a.indptr = a.indices.astype(index_dtype), a.indptr.astype(index_dtype)
+    net = Network.from_adjacency(a)
+    a.data[:] = 5
+    a.indices[:] = 0
+    a.indptr[:] = 0
+    assert net.adjacency.data.tolist() == [1.0, 1.0]
+    assert net.adjacency.indices.tolist() == [1, 0]
+    assert net.adjacency.indptr.tolist() == [0, 1, 2]
+    assert net.degrees.tolist() == [1, 1]
 
 
 def test_network_neighbors_and_counts():

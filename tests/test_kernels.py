@@ -321,3 +321,77 @@ def test_weights_matrix_memory_is_the_result_plus_block_scratch():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * mat.nbytes + 2 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# kernel sums: one pass over the upper triangle
+# ---------------------------------------------------------------------------
+
+PANEL = 64  # scratch entries per buffer in the tests below
+
+
+def _sums_case(rng, n, p):
+    # integer coordinates put pairs exactly on the support boundary at h = 1
+    Z = np.c_[rng.integers(-2, 3, (n, 1)), rng.standard_normal((n, p - 1))].astype(float)
+    V = np.c_[np.ones(n), rng.standard_normal((n, 4))]
+    return Z, V
+
+
+@pytest.mark.parametrize("h", [1.0, 1.9])
+@pytest.mark.parametrize("n", [5, 8, 23])
+@pytest.mark.parametrize("p", [1, 3, 5])
+@pytest.mark.parametrize("q", [2, 4, 6])
+def test_symmetric_sums_match_full_matrix_products(monkeypatch, q, p, n, h):
+    # n = 5 fits in one panel, n = 8 fills exactly one (8 rows of 8), and
+    # n = 23 takes panels of 2, 3, 3, 4, 5 and 6 rows
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * PANEL)
+    Z, V = _sums_case(rng_for(40, q, p, n), n, p)
+    c = cfg(q=q, p=p, h=h)
+    K = weights_matrix(Z, c)
+    got = weights_matrix(Z, c, rhs=V)
+    assert got.shape == (n, 5)
+    # rounding of a reordered sum is bounded by the sum of the magnitudes
+    assert (np.abs(got - K @ V) <= 1e-13 * (np.abs(K) @ np.abs(V))).all()
+
+
+@pytest.mark.parametrize("q", [2, 4, 6])
+def test_weights_of_the_sample_are_symmetric_bit_for_bit(q):
+    Z, _ = _sums_case(rng_for(41, q), 40, 3)
+    K = weights_matrix(Z, cfg(q=q, p=3, h=1.0))
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(np.signbit(K), np.signbit(K.T))
+
+
+def test_symmetric_sums_infinite_bandwidth():
+    # every weight is K(0)^p, so each row is K(0)^p times the column sums
+    Z, V = _sums_case(rng_for(43), 30, 3)
+    c = cfg(q=4, p=3, h=math.inf)
+    got = weights_matrix(Z, c, rhs=V)
+    want = kernel_eval(c, np.zeros(3)) * V.sum(axis=0)
+    assert got == pytest.approx(np.broadcast_to(want, got.shape), rel=1e-13, abs=1e-13)
+
+
+def test_symmetric_sums_reject_queries_and_bad_shapes():
+    Z, V = _sums_case(rng_for(44), 10, 2)
+    c = cfg(q=2, p=2)
+    with pytest.raises(ValueError, match="at=None"):
+        weights_matrix(Z, c, at=Z[:3], rhs=V)
+    with pytest.raises(ValueError, match=r"rhs must be an \(10, k\) matrix"):
+        weights_matrix(Z, c, rhs=V[:9])
+    with pytest.raises(ValueError, match=r"rhs must be an \(10, k\) matrix"):
+        weights_matrix(Z, c, rhs=V[:, 0])
+
+
+def test_symmetric_sums_allocate_no_n_by_n_array():
+    n = 2000
+    Z, V = _sums_case(rng_for(45), n, 5)
+    c = cfg(q=4, p=5, h=1.5)
+    tracemalloc.start()
+    try:
+        sums = weights_matrix(Z, c, rhs=V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result, the panel's contribution to later rows, three buffers
+    assert peak <= 2 * sums.nbytes + 3 * kernels._BLOCK_BYTES + 2**18
+    assert peak < n * n * 8 / 16

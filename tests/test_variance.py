@@ -164,7 +164,8 @@ def test_eigenpairs_dense_and_lanczos_agree_downstream(monkeypatch, n, seed):
 def test_eigenpairs_lanczos_sees_antisymmetric_directions():
     # a path is mirror-symmetric: half its eigenvectors are orthogonal to the
     # constant vector, so a constant Lanczos start misses -lambda_1
-    n = 2050
+    n = 301
+    assert n > netate.variance.DENSE_EIG_THRESHOLD
     net = Network.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     dec = leading_eigenpairs(net, 3)
     closed_form = np.sort(np.abs(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))))[::-1]
