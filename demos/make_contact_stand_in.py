@@ -8,8 +8,10 @@ an edge when the aggregate count reaches 3, so some rows fall below the
 threshold on purpose.
 
 The real recordings these stand in for are the SocioPatterns primary-school
-RFID data (http://www.sociopatterns.org); the loader accepts those files
-unchanged.  Run this script from the repository root to refresh the CSVs:
+RFID data (http://www.sociopatterns.org).  The loader reads only rows of 2 or
+3 comma-separated integers ("i,j" or "i,j,count"), so recordings in another
+layout must first be aggregated to "i,j,count" rows.  Run this script from the
+repository root to refresh the CSVs:
 
     python demos/make_contact_stand_in.py
 """

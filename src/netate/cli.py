@@ -99,9 +99,8 @@ def _cmd_simulate(args) -> int:
         interference=args.interference,
         np_alpha=args.alpha,
     )
-    if args.graphon and scenario.graphon is not None:
-        graphon = make_graphon(args.graphon)
-        scenario = replace(scenario, graphon=graphon, rank=graphon.rank_hint)
+    if args.graphon:
+        scenario = replace(scenario, graphon=make_graphon(args.graphon))
     np_overrides = {}
     if args.h_band is not None:
         np_overrides["h_band"] = args.h_band

@@ -245,7 +245,7 @@ def nonparametric(
         # infinite bandwidth: constant kernel weights, so the local fits are
         # the group means and no point is trimmed
         tau = float(data.Y[treated].mean() - data.Y[control].mean())
-        diagnostics.update({"kept": n, "trimmed": 0, "reclassified": 0})
+        diagnostics.update({"kept": n, "trimmed": 0})
         return EstimateResult(tau, "nonparametric", diagnostics)
 
     if sums is None:
@@ -258,18 +258,10 @@ def nonparametric(
     p1 = den1 / (scale * pi_hat)
     p2 = den0 / (scale * (1.0 - pi_hat))
     kept = (p1 > config.b_trim) & (p2 > config.b_trim) & (p_hat > TRIM_FACTOR * config.b_trim)
-
-    # higher-order kernels can leave a kept point with nonpositive group mass;
-    # such points are reclassified as trimmed
-    bad = kept & ((den1 <= 0.0) | (den0 <= 0.0))
-    reclassified = int(bad.sum())
-    kept &= ~bad
     if not kept.any():
         raise AllTrimmedError("every point failed the trimming conditions")
 
     contrast = num1[kept] / den1[kept] - num0[kept] / den0[kept]
     tau = float(contrast.sum() / n)
-    diagnostics.update(
-        {"kept": int(kept.sum()), "trimmed": int(n - kept.sum()), "reclassified": reclassified}
-    )
+    diagnostics.update({"kept": int(kept.sum()), "trimmed": int(n - kept.sum())})
     return EstimateResult(tau, "nonparametric", diagnostics)

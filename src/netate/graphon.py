@@ -57,7 +57,8 @@ class GraphonSpec:
     sparsity_exponent : float
         gamma >= 0 in rho_n = n**(-gamma); 0 means dense.
     rank_hint : int, optional
-        Declared finite rank; graphon scenarios use it as the spectral rank.
+        Declared finite rank; a Scenario requires it and uses it as the
+        spectral rank.
     lower_bound, upper_bound : float, optional
         Declared c_l <= inf_x int h(x, y) dy and c_u >= sup h.  Checked by
         probes, not symbolically.

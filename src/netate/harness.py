@@ -72,64 +72,84 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 CONTACT_MIN_COUNT = 3
+CONTACT_RANK = 10
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A registered simulation design: network model, outcome model, design pi."""
+    """A registered simulation design: network model, outcome model, design pi.
+
+    Exactly one of `graphon` (a fresh graph per replicate) and `network` (a
+    fixed graph) is set.  The covariate dimension `p` is the outcome model's,
+    and the spectral rank `rank` is the graphon's `rank_hint`, or
+    CONTACT_RANK on the fixed network; both follow a `replace` of the model
+    or the graphon.
+    """
 
     id: str
     outcome: OutcomeModel
     pi: float
-    p: int
     interference: bool = True
     graphon: GraphonSpec | None = None
     network: Network | None = None
-    rank: int = 3
     np_alpha: float = 0.01
 
     def __post_init__(self):
         if not 0.0 < self.pi < 1.0:
             raise ValueError("pi must lie in (0, 1)")
         if (self.graphon is None) == (self.network is None):
-            raise ValueError("exactly one of graphon or network must be set")
+            raise ValueError(f"scenario {self.id!r} needs exactly one of a graphon or a fixed network")
+        if self.graphon is not None and self.graphon.rank_hint is None:
+            raise ValueError(f"graphon {self.graphon.name!r} declares no rank_hint for the spectral rank")
+
+    @property
+    def p(self) -> int:
+        return self.outcome.p
+
+    @property
+    def rank(self) -> int:
+        return CONTACT_RANK if self.graphon is None else self.graphon.rank_hint
 
 
-_SCENARIO_IDS = ("sec31-validation", "sec41-main", "contact-vaccine")
+# id -> (default pi, whether p may be set, closed-form population ATE as a
+# function of pi).  Every scenario but contact-vaccine samples paper-sec3
+# graphs; contact-vaccine runs on the fixed contact network.
+_PRESETS = {
+    "sec31-validation": (0.5, False, lambda pi: -2.0 * (1.0 - pi) ** 2 + pi**2),
+    "sec41-main": (0.7, True, lambda pi: pi - 0.5),
+    # E[2 / (1 + exp(-z*))] = 1 for symmetric z*
+    "contact-vaccine": (0.2, False, lambda pi: -0.4 * (1.0 - math.sqrt(pi))),
+}
 
 
 def scenario_ids() -> tuple[str, ...]:
-    return _SCENARIO_IDS
+    return tuple(_PRESETS)
 
 
 def contact_network(period: str = "morning", path=None) -> Network:
     """The bundled synthetic stand-in contact network (or a user-supplied file).
 
-    Edges require at least CONTACT_MIN_COUNT aggregated contacts; vertices
-    left isolated by the threshold are dropped.  The bundled files are
-    synthetic stand-ins for the real classroom RFID data; the generator
-    demos/make_contact_stand_in.py names the source of the real files, which
-    load through the same path.
+    A contact file is a CSV of "i,j" or "i,j,count" rows of nonnegative
+    integers, the only layout `load_edge_list` reads; recordings in any
+    other layout (say, one timestamped row per contact) must first be
+    aggregated to "i,j,count".  Edges require at least CONTACT_MIN_COUNT
+    aggregated contacts; vertices left isolated by the threshold are
+    dropped.  The bundled files are synthetic stand-ins for the real
+    classroom RFID data, whose source demos/make_contact_stand_in.py names.
     """
-    if path is None:
-        if period not in ("morning", "midday"):
-            raise ValueError("period must be 'morning' or 'midday'")
+    if path is not None:
+        ref = Path(path)
+    elif period in ("morning", "midday"):
         ref = resources.files("netate.data") / f"synthetic_contacts_{period}.csv"
-        if not ref.is_file():
-            raise FileNotFoundError(
-                f"bundled contact file {ref} is missing; expected a CSV of "
-                f"'i,j,count' rows with integer ids and contact counts"
-            )
-        with resources.as_file(ref) as p:
-            network, _ = load_edge_list(p, min_count=CONTACT_MIN_COUNT, drop_isolated=True)
-        return network
-    p = Path(path)
-    if not p.is_file():
+    else:
+        raise ValueError("period must be 'morning' or 'midday'")
+    if not ref.is_file():
         raise FileNotFoundError(
-            f"contact file {p} not found; expected a CSV of 'i,j,count' rows "
+            f"contact file {ref} not found; expected a CSV of 'i,j,count' rows "
             f"(vertex ids nonnegative integers, one row per recorded contact pair)"
         )
-    network, _ = load_edge_list(p, min_count=CONTACT_MIN_COUNT, drop_isolated=True)
+    with resources.as_file(ref) as local:
+        network, _ = load_edge_list(local, min_count=CONTACT_MIN_COUNT, drop_isolated=True)
     return network
 
 
@@ -143,42 +163,22 @@ def get_scenario(
     contacts_path=None,
 ) -> Scenario:
     """Build a registered scenario, optionally overriding its knobs."""
-    if scenario_id == "sec31-validation":
-        graphon = make_graphon("paper-sec3")
-        base = Scenario(
-            id=scenario_id,
-            outcome=OutcomeModel("sec31-validation"),
-            pi=0.5,
-            p=1,
-            graphon=graphon,
-            rank=graphon.rank_hint,
-        )
-        if p not in (None, 1):
-            raise ValueError("this scenario owns a scalar covariate")
-    elif scenario_id == "sec41-main":
-        dim = 1 if p is None else int(p)
-        graphon = make_graphon("paper-sec3")
-        base = Scenario(
-            id=scenario_id,
-            outcome=OutcomeModel("sec41-main", {"p": dim}),
-            pi=0.7,
-            p=dim,
-            graphon=graphon,
-            rank=graphon.rank_hint,
-        )
-    elif scenario_id == "contact-vaccine":
-        base = Scenario(
-            id=scenario_id,
-            outcome=OutcomeModel("contact-vaccine"),
-            pi=0.2,
-            p=1,
-            network=contact_network(period, contacts_path),
-            rank=10,
-        )
-        if p not in (None, 1):
-            raise ValueError("this scenario owns a scalar covariate")
-    else:
-        raise UnknownScenarioError(f"unknown scenario {scenario_id!r}; known: {_SCENARIO_IDS}")
+    if scenario_id not in _PRESETS:
+        raise UnknownScenarioError(f"unknown scenario {scenario_id!r}; known: {scenario_ids()}")
+    default_pi, p_settable, _ = _PRESETS[scenario_id]
+    dim = 1 if p is None else int(p)
+    if dim != 1 and not p_settable:
+        raise ValueError("this scenario owns a scalar covariate")
+    if dim < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    fixed = scenario_id == "contact-vaccine"
+    base = Scenario(
+        id=scenario_id,
+        outcome=OutcomeModel(scenario_id, {"p": dim} if p_settable else {}),
+        pi=default_pi,
+        graphon=None if fixed else make_graphon("paper-sec3"),
+        network=contact_network(period, contacts_path) if fixed else None,
+    )
     if pi is not None:
         base = replace(base, pi=float(pi))
     if interference is not None:
@@ -190,15 +190,9 @@ def get_scenario(
 
 def true_tau(scenario: Scenario) -> float:
     """Closed-form population ATE of a registered scenario (depends on pi)."""
-    pi = scenario.pi
-    if scenario.id == "sec31-validation":
-        return -2.0 * (1.0 - pi) ** 2 + pi**2
-    if scenario.id == "sec41-main":
-        return pi - 0.5
-    if scenario.id == "contact-vaccine":
-        # E[2 / (1 + exp(-z*))] = 1 for symmetric z*
-        return -0.4 * (1.0 - math.sqrt(pi))
-    raise UnknownScenarioError(scenario.id)
+    if scenario.id not in _PRESETS:
+        raise UnknownScenarioError(scenario.id)
+    return _PRESETS[scenario.id][2](scenario.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,23 @@ def test_simulate_graphon_override_uses_its_rank(capsys, monkeypatch, tmp_path):
     assert code == 0 and ranks == [1, 1]
 
 
+@pytest.mark.parametrize("override,message", [
+    (["--scenario", "sec41-main", "--p", "0"], "p must be >= 1, got 0"),
+    (["--scenario", "sec41-main", "--p", "-1"], "p must be >= 1, got -1"),
+    # a fixed network has no graphon to override
+    (["--scenario", "contact-vaccine", "--graphon", "constant:0.5"], "exactly one of a graphon or a fixed network"),
+], ids=["p=0", "p=-1", "contact-graphon"])
+def test_simulate_bad_scenario_override_exits_2_before_any_replicate(capsys, monkeypatch, tmp_path, override, message):
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("run_scenario was called")
+
+    monkeypatch.setattr(cli_module, "run_scenario", no_replicates)
+    code = main(["simulate", *override, "--n", "60", "--methods", "dim", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats adds about 0.5 s to every command's start-up
     env = dict(os.environ, PYTHONPATH=str(Path(netate.__file__).parents[1]))

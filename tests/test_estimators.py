@@ -400,7 +400,8 @@ def test_nonparametric_dominates_linear_mse(smooth_p5_alpha05_study):
 def _dense_reference(data, config):
     """The estimator from the (n, n) weights matrix.
 
-    Returns tau, the kept and reclassified masks, and p1, p2 and p_hat.
+    Returns tau, the kept mask, and p1, p2 and p_hat.  Every kept point has
+    positive group masses den1 and den0, since p1 and p2 exceed b_trim > 0.
     """
     kmat = weights_matrix(data.Z, config)
     w = data.W.astype(float)
@@ -410,11 +411,10 @@ def _dense_reference(data, config):
     p2 = den0 / (scale * (1.0 - w.mean()))
     kept = (p1 > config.b_trim) & (p2 > config.b_trim)
     kept &= kmat.sum(axis=1) / scale > TRIM_FACTOR * config.b_trim
-    bad = kept & ((den1 <= 0.0) | (den0 <= 0.0))
-    kept &= ~bad
+    assert (den1[kept] > 0.0).all() and (den0[kept] > 0.0).all()
     num1, num0 = kmat @ (data.Y * w), kmat @ (data.Y * (1.0 - w))
     tau = (num1[kept] / den1[kept] - num0[kept] / den0[kept]).sum() / data.n
-    return tau, kept, bad, p1, p2, kmat.sum(axis=1) / scale
+    return tau, kept, p1, p2, kmat.sum(axis=1) / scale
 
 
 @pytest.mark.parametrize("p", [1, 3, 5])
@@ -427,10 +427,10 @@ def test_nonparametric_sums_match_dense_reference(p):
     data = TrialData(Y=y, W=w, Z=Z, pi=0.5)
     q, h, b = rule_of_thumb(n, p, 0.05, Z)
     config = KernelConfig(q=q, p=p, h_band=h, b_trim=b)
-    tau, kept, bad, *_ = _dense_reference(data, config)
+    tau, kept, *_ = _dense_reference(data, config)
     d = nonparametric(data, config)
     assert d.tau_hat == pytest.approx(tau, rel=1e-12)
-    assert (d.diagnostics["kept"], d.diagnostics["reclassified"]) == (kept.sum(), bad.sum())
+    assert d.diagnostics["kept"] == kept.sum()
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])
@@ -449,11 +449,11 @@ def test_nonparametric_trim_boundary_matches_dense_reference(side):
     room = (p1 > 0) & (p2 > 1.1 * p1) & (p_hat > 1.1 * p1)
     i = int(np.flatnonzero(room)[np.argmin(p1[room])])
     config = KernelConfig(q=4, p=5, h_band=2.0, b_trim=p1[i] * (1.0 + side * 1e-12))
-    tau, kept, bad, *_ = _dense_reference(data, config)
+    tau, kept, *_ = _dense_reference(data, config)
     assert kept[i] == (side < 0)
     d = nonparametric(data, config)
     assert d.tau_hat == pytest.approx(tau, rel=1e-12)
-    assert (d.diagnostics["kept"], d.diagnostics["reclassified"]) == (kept.sum(), bad.sum())
+    assert d.diagnostics["kept"] == kept.sum()
 
 
 def test_np_path_allocates_no_n_by_n_array():

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from netate import (
     ate_oracle,
     emit_report,
     get_scenario,
+    make_graphon,
     reproduce_table,
     run_scenario,
     theoretical_variance_oracle,
@@ -38,6 +41,28 @@ def test_scenario_defaults():
     assert (s41.pi, s41.p) == (0.6, 7)
     sc = get_scenario("contact-vaccine")
     assert sc.network is not None and sc.rank == 10 and sc.pi == 0.2
+
+
+def test_scenario_p_and_rank_follow_the_model_and_graphon():
+    assert get_scenario("sec41-main", p=4).p == 4
+    swapped = replace(get_scenario("sec31-validation"), graphon=make_graphon("constant:0.5"))
+    assert swapped.rank == 1
+    with pytest.raises(ValueError, match="rank_hint"):
+        replace(swapped, graphon=replace(swapped.graphon, rank_hint=None))
+
+
+@pytest.mark.parametrize("p", [0, -1])
+def test_get_scenario_rejects_p_below_one(p):
+    with pytest.raises(ValueError, match=rf"p must be >= 1, got {p}"):
+        get_scenario("sec41-main", p=p)
+
+
+def test_contact_scenario_rejects_missing_file_and_bad_period(tmp_path):
+    missing = tmp_path / "no-such-contacts.csv"
+    with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
+        get_scenario("contact-vaccine", contacts_path=missing)
+    with pytest.raises(ValueError, match="period must be"):
+        get_scenario("contact-vaccine", period="evening")
 
 
 def test_true_tau_pinned_against_oracle():

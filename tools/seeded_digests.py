@@ -1,13 +1,18 @@
 """Print one sha256 per seeded output; diff two trees' listings for byte identity.
 
-Run as `PYTHONPATH=src python tools/seeded_digests.py` in each tree; about 7 s on two cores.
-Cases: run_scenario summaries (JSON plus raw estimates; only n=400 runs Lanczos), their
-emit_report files, reproduce_table table1/table5 at budget 0.02, and `netate estimate`.
+Run as `PYTHONPATH=src python tools/seeded_digests.py` in each tree; about 6 s on two cores.
+Cases: run_scenario summaries (JSON plus raw estimates; only n=400 runs Lanczos) of
+get_scenario with and without its overrides and of a contact file passed by path, their
+emit_report files, reproduce_table table1/table5 at budget 0.02, `netate estimate`, and
+`netate simulate` with a `--graphon` override.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +26,9 @@ SUMMARIES = [
     *[("sec41-main", {"p": p}, 300, ("linear", "np", "linear:none", "np:none")) for p in (1, 3, 5)],
     # n is ignored for a fixed network
     *[("contact-vaccine", {"period": t}, 0, ("dim", "linear", "np")) for t in ("morning", "midday")],
+    ("sec41-main", {"p": 2, "pi": 0.6, "interference": False, "np_alpha": 0.05}, 200, ("linear", "np")),
+    # a copy of the bundled midday file, loaded by path; its case is named by the file name
+    ("contact-vaccine", {"contacts_path": Path("midday-copy.csv")}, 0, ("dim", "linear", "np")),
 ]
 ESTIMATES = [("dim", "spectral"), ("dim", "conservative"), ("linear", "spectral"),
              ("linear", "conservative"), ("linear", "none"), ("np", "polyseq"), ("np", "none")]
@@ -32,8 +40,11 @@ def emit(case: str, *parts: bytes) -> None:
 
 with tempfile.TemporaryDirectory() as tmp:
     root = Path(tmp)
+    bundled = resources.files("netate.data") / "synthetic_contacts_midday.csv"
+    (root / "midday-copy.csv").write_bytes(bundled.read_bytes())
     for k, (sid, kwargs, n, methods) in enumerate(SUMMARIES):
-        case = f"{sid}{''.join(f'-{v}' for v in kwargs.values())}"
+        case = sid + "".join(f"-{getattr(v, 'name', v)}" for v in kwargs.values())
+        kwargs = {key: root / v if isinstance(v, Path) else v for key, v in kwargs.items()}
         summary = run_scenario(get_scenario(sid, **kwargs), n, methods, reps=10, seed=7)
         emit(f"summary/{case}", json.dumps(summary.to_dict(), sort_keys=True).encode(),
              *(ms.estimates.tobytes() for ms in summary.methods.values()))
@@ -57,3 +68,11 @@ with tempfile.TemporaryDirectory() as tmp:
                          str(root / "edges.csv"), "--rank", "3", "--method", method,
                          "--variance", variance, "--out", str(out)])
         emit(f"estimate/{method}:{variance}", str(code).encode(), out.read_bytes())
+
+    out = root / "simulate"
+    with contextlib.redirect_stdout(io.StringIO()):  # the printed paths name the temp dir
+        code = cli_main(["simulate", "--scenario", "sec31-validation", "--n", "150", "--graphon",
+                         "constant:0.5", "--methods", "linear,dim:conservative", "--reps", "10",
+                         "--seed", "7", "--workers", "1", "--out", str(out)])
+    emit("simulate/sec31-validation-constant:0.5", str(code).encode(),
+         *(f.name.encode() + f.read_bytes() for f in sorted(out.iterdir())))
