@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import integrate
 
 from ._errors import IsolatedVertexError, QuadratureError, UnknownGraphonError
 
@@ -262,6 +261,7 @@ def make_graphon(key: str, sparsity_exponent: float = 0.25) -> GraphonSpec:
             eigenfunctions=((lambda x: np.ones_like(np.asarray(x, dtype=float))),),
         )
     if key.startswith("rank1:"):
+        from scipy import integrate  # deferred, like _quad
         psi_raw = _parse_expr(key.split(":", 1)[1])
         norm_sq, _ = integrate.quad(lambda t: psi_raw(t) ** 2, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
         if norm_sq <= 0:
@@ -389,6 +389,9 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
 # ---------------------------------------------------------------------------
 
 def _quad(fn, a: float, b: float, tol: float, what: str) -> float:
+    # deferred: importing scipy.integrate (and with it scipy.optimize, scipy.linalg and
+    # scipy.spatial) costs about 0.35 s and 25 MB, and only the oracles integrate
+    from scipy import integrate
     out = integrate.quad(fn, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3 or abserr > max(tol, 10 * tol * abs(value)):

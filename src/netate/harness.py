@@ -35,6 +35,7 @@ from .trial import (
     OutcomeModel,
     TrialData,
     assign_treatments,
+    check_p,
     conditional_mean,
     exposure_fractions,
     load_edge_list,
@@ -166,11 +167,9 @@ def get_scenario(
     if scenario_id not in _PRESETS:
         raise UnknownScenarioError(f"unknown scenario {scenario_id!r}; known: {scenario_ids()}")
     default_pi, p_settable, _ = _PRESETS[scenario_id]
-    dim = 1 if p is None else int(p)
+    dim = 1 if p is None else check_p(p)
     if dim != 1 and not p_settable:
         raise ValueError("this scenario owns a scalar covariate")
-    if dim < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     fixed = scenario_id == "contact-vaccine"
     base = Scenario(
         id=scenario_id,

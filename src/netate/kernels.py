@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from ._errors import EmptyWindowError, UnsupportedDimensionError
 
@@ -147,6 +146,7 @@ def kernel_moment(config: KernelConfig, multi_index) -> float:
         raise ValueError("exponents must be nonnegative")
     if len(exps) > config.p:
         raise ValueError("multi-index longer than the covariate dimension")
+    from scipy import integrate  # deferred, like graphon._quad
     value = 1.0
     for l in exps:
         m, _ = integrate.quad(

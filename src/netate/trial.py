@@ -108,10 +108,28 @@ class OutcomeModel:
             raise UnknownScenarioError(
                 f"unknown outcome model {self.scenario_id!r}; known: {sorted(_REGISTRY)}"
             )
+        if "p" in self.params:
+            check_p(self.params["p"])
 
     @property
     def p(self) -> int:
         return int(self.params.get("p", _REGISTRY[self.scenario_id].default_p))
+
+
+def check_p(p) -> int:
+    """The covariate dimension `p` as an int; ValueError naming it unless it is an integer >= 1.
+
+    An integral float such as 3.0 is accepted; 2.7 is rejected rather than truncated to 2.
+    """
+    try:
+        dim = int(p)
+    except (TypeError, ValueError, OverflowError):  # None, text, nan, inf
+        dim = None
+    if dim != p:
+        raise ValueError(f"p must be an integer, got {p}")
+    if dim < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    return dim
 
 
 class MonteCarloValue(NamedTuple):

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.special import ndtri
 
 from ._errors import InvalidVarianceError, SingularDesignError
@@ -119,6 +118,15 @@ def leading_eigenpairs(network: Network, r: int) -> SpectralDecomposition:
     through rounding, so on graphs with repeated top eigenvalues (cycles,
     tori) a copy can be missed and a smaller eigenvalue returned in its
     place.  Sampled graphon graphs have simple spectra almost surely.
+
+    ``scipy.sparse.linalg`` (with ``scipy.linalg``) is imported on the first
+    Lanczos call, not by ``import netate``: it adds about 0.08 s and 8 MB
+    to a start-up that needs neither.  A process pays that once, but each
+    pool child of ``run_scenario(..., workers>1)`` whose parent never ran
+    Lanczos pays it again on every call: sec31-validation at n=400, 8
+    replicates, workers=2 took 0.22-0.24 s a call against 0.12-0.15 s with
+    the import at the top (medians of 5 calls in 3 interpreters, 2-core
+    Xeon).
     """
     n = network.n
     if not 1 <= r <= n:
@@ -130,6 +138,7 @@ def leading_eigenpairs(network: Network, r: int) -> SpectralDecomposition:
         # ARPACK rejects the zero matrix; this is what the dense path returns
         return SpectralDecomposition(eigenvalues=np.zeros(r), eigenvectors=np.eye(n, r))
     else:
+        import scipy.sparse.linalg as spla  # deferred: see the docstring
         v0 = np.random.default_rng(0).standard_normal(n)
         vals, vecs = spla.eigsh(network.adjacency, k=r, which="LM", v0=v0, tol=LANCZOS_TOL)
         order = np.argsort(-np.abs(vals), kind="stable")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from netate import (
+    OutcomeModel,
     TrialData,
     UnknownScenarioError,
     ate_oracle,
@@ -51,10 +52,15 @@ def test_scenario_p_and_rank_follow_the_model_and_graphon():
         replace(swapped, graphon=replace(swapped.graphon, rank_hint=None))
 
 
-@pytest.mark.parametrize("p", [0, -1])
+@pytest.mark.parametrize("p", [0, -1, 2.7, 1.9])
 def test_get_scenario_rejects_p_below_one(p):
-    with pytest.raises(ValueError, match=rf"p must be >= 1, got {p}"):
-        get_scenario("sec41-main", p=p)
+    # a non-integral p is rejected, not truncated: 1.9 would pass as the scalar covariate's p = 1
+    message = rf"p must be {'>= 1' if p == int(p) else 'an integer'}, got {re.escape(str(p))}$"
+    for scenario_id in ("sec41-main", "sec31-validation"):
+        with pytest.raises(ValueError, match=message):
+            get_scenario(scenario_id, p=p)
+    with pytest.raises(ValueError, match=message):  # a model built directly is checked too
+        OutcomeModel("sec41-main", {"p": p})
 
 
 def test_contact_scenario_rejects_missing_file_and_bad_period(tmp_path):

@@ -1,10 +1,11 @@
 """Print one sha256 per seeded output; diff two trees' listings for byte identity.
 
 Run as `PYTHONPATH=src python tools/seeded_digests.py` in each tree; about 6 s on two cores.
-Cases: run_scenario summaries (JSON plus raw estimates; only n=400 runs Lanczos) of
-get_scenario with and without its overrides and of a contact file passed by path, their
-emit_report files, reproduce_table table1/table5 at budget 0.02, `netate estimate`, and
-`netate simulate` with a `--graphon` override.
+Cases: the quadrature oracles (graphon_b, graphon_degree_profile, a rank1: graphon's
+normalisation, kernel_moment), run_scenario summaries (JSON plus raw estimates; only n=400
+runs Lanczos) of get_scenario with and without its overrides and of a contact file passed by
+path, their emit_report files, reproduce_table table1/table5 at budget 0.02, `netate
+estimate`, and `netate simulate` with a `--graphon` override.
 """
 
 import contextlib
@@ -16,7 +17,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from netate import contact_network, emit_report, get_scenario, reproduce_table, run_scenario
+from netate import (KernelConfig, contact_network, emit_report, get_scenario, graphon_b,
+                    graphon_degree_profile, kernel_moment, make_graphon, reproduce_table, run_scenario)
 from netate import trial as tr
 from netate.cli import main as cli_main
 
@@ -30,6 +32,7 @@ SUMMARIES = [
     # a copy of the bundled midday file, loaded by path; its case is named by the file name
     ("contact-vaccine", {"contacts_path": Path("midday-copy.csv")}, 0, ("dim", "linear", "np")),
 ]
+MULTI_INDICES = ([0], [1], [2], [4], [6], [2, 2], [3, 0, 4])
 ESTIMATES = [("dim", "spectral"), ("dim", "conservative"), ("linear", "spectral"),
              ("linear", "conservative"), ("linear", "none"), ("np", "polyseq"), ("np", "none")]
 
@@ -37,6 +40,15 @@ ESTIMATES = [("dim", "spectral"), ("dim", "conservative"), ("linear", "spectral"
 def emit(case: str, *parts: bytes) -> None:
     print(f"{hashlib.sha256(b''.join(parts)).hexdigest()}  {case}", flush=True)
 
+
+paper = make_graphon("paper-sec3")
+emit("oracle/graphon_b/paper-sec3", np.float64(graphon_b(paper)).tobytes())
+emit("oracle/degree_profile/paper-sec3",
+     np.array([graphon_degree_profile(paper, x) for x in (0.05, 0.5, 0.9)]).tobytes())
+emit("oracle/rank1-eigenvalues", np.array(make_graphon("rank1:exp(x)*sin(3*x)+2").eigenvalues).tobytes())
+for q in (2, 4, 6):
+    config = KernelConfig(q=q, p=3, h_band=1.0, b_trim=0.1)
+    emit(f"oracle/kernel_moment/q={q}", np.array([kernel_moment(config, m) for m in MULTI_INDICES]).tobytes())
 
 with tempfile.TemporaryDirectory() as tmp:
     root = Path(tmp)
