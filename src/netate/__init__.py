@@ -17,8 +17,7 @@ quadrature oracles (graphon_b, graphon_degree_profile, kernel_moment, the
 rank1: normalisation); scipy.sparse.linalg for the Lanczos path of
 leading_eigenpairs; scipy.stats.qmc for probe_bounds.  A replicate needs
 none of the oracles, so a fresh `import netate` plus get_scenario takes
-0.56 s and 55 MB resident, against 0.81 s and 80 MB with scipy.integrate and
-scipy.sparse.linalg imported at the top (medians of 11 starts, 2-core Xeon).
+0.56 s and 55 MB resident (medians of 11 starts, 2-core Xeon).
 """
 
 from ._errors import (

@@ -14,6 +14,7 @@ from ._errors import InvalidVarianceError, NetateError, QuadratureError
 from .graphon import make_graphon
 from .harness import (
     _NETWORK_VARIANCES,
+    _VARIANCES,
     TABLE_IDS,
     _estimate_once,
     _network_term,
@@ -162,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--edges", help="edge-list CSV 'i,j[,count]'")
     est.add_argument("--min-count", type=int, default=1)
     est.add_argument("--drop-isolated", action="store_true")
-    est.add_argument("--method", choices=("dim", "linear", "np"), default="linear")
-    est.add_argument("--variance", choices=("spectral", "conservative", "polyseq", "none"))
+    est.add_argument("--method", choices=tuple(_VARIANCES), default="linear")
+    est.add_argument("--variance", choices=tuple(dict.fromkeys(v for vs in _VARIANCES.values() for v in vs)))
     est.add_argument("--rank", type=int, help="spectral rank (required with --edges)")
     est.add_argument("--alpha", type=float, default=0.01, help="quantile level for the trim constant")
     est.add_argument("--h-band", type=float, help="bandwidth override")

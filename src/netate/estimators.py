@@ -10,7 +10,6 @@ that lstsq returns; normal equations are never formed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -175,9 +174,8 @@ def _np_tuning(
     if b_trim is not None:
         return q, h, float(b_trim), None
     a2 = (3.0 * p + 18.0 * q) / (q - 0.5 * p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # placeholder trim level, not a user config
-        probe = KernelConfig(q=q, p=p, h_band=h, b_trim=math.inf)
+    # weights_matrix reads no trim level, and b_trim = h cannot trip the h < b_trim warning
+    probe = KernelConfig(q=q, p=p, h_band=h, b_trim=h)
     sums = weights_matrix(Z, probe, rhs=rhs)
     p_hat = sums[:, 0] / (n * h**p)
     c2 = float(np.quantile(p_hat, alpha))

@@ -198,9 +198,8 @@ def true_tau(scenario: Scenario) -> float:
 # Method resolution
 # ---------------------------------------------------------------------------
 
-_ESTIMATORS = ("dim", "linear", "np")
-_DEFAULT_VARIANCE = {"dim": "spectral", "linear": "spectral", "np": "polyseq"}
-_ALLOWED_VARIANCE = {
+# each estimator's variances, its default first
+_VARIANCES = {
     "dim": ("spectral", "conservative", "none"),
     "linear": ("spectral", "conservative", "none"),
     "np": ("polyseq", "none"),
@@ -211,10 +210,10 @@ _NETWORK_VARIANCES = ("spectral", "polyseq")
 
 def _resolve_method(method: str) -> tuple[str, str]:
     est, _, var = method.partition(":")
-    if est not in _ESTIMATORS:
-        raise ValueError(f"unknown estimator {est!r}; use one of {_ESTIMATORS}")
-    var = var or _DEFAULT_VARIANCE[est]
-    if var not in _ALLOWED_VARIANCE[est]:
+    if est not in _VARIANCES:
+        raise ValueError(f"unknown estimator {est!r}; use one of {tuple(_VARIANCES)}")
+    var = var or _VARIANCES[est][0]
+    if var not in _VARIANCES[est]:
         raise ValueError(f"variance {var!r} not available for {est!r}")
     return est, var
 
@@ -543,7 +542,9 @@ def theoretical_variance_oracle(
     regression coefficients come from the same draws' moments; the network
     factor b comes from nested quadrature on the scenario's graphon (or the
     plug-in statistic for a fixed network).  Returns the value with a
-    batch-based standard error.
+    standard error from 20 batches; mc_reps must be at least
+    20 * max(50, p + 2), so that every batch has more draws than the p + 1
+    regression coefficients it fits.
     """
     if formula not in _FORMULAS:
         raise ValueError(f"formula must be one of {_FORMULAS}")
@@ -551,6 +552,9 @@ def theoretical_variance_oracle(
     model = scenario.outcome
     pi = scenario.pi
     m = int(mc_reps)
+    min_reps = 20 * max(50, model.p + 2)
+    if m < min_reps:
+        raise ValueError(f"mc_reps must be at least {min_reps} for p = {model.p}, got {mc_reps}")
 
     draw = sample_covariates(model, m, rng)
     noise = sample_outcome_noise(model, m, rng)
@@ -596,7 +600,7 @@ def theoretical_variance_oracle(
                     np.asarray(params["alpha0"], dtype=float) - beta0[1:]
                 )
                 v += (u @ cov @ u) / (pi * (1.0 - pi))
-            return float(v)
+            return v
         # Vnp / Vg share the first three terms
         c1, c0 = m1[idx], m0[idx]
         mix = (1.0 - pi) * (a1 - c1) + pi * (a0 - c0)
@@ -606,12 +610,11 @@ def theoretical_variance_oracle(
             h0 = np.asarray([float(params["g0"](zz)) for zz in z])
             slack = (1.0 - pi) * (h1 - h1.mean() - c1 + a1.mean()) + pi * (h0 - h0.mean() - c0 + a0.mean())
             v += (slack * slack).mean() / (pi * (1.0 - pi))
-        return float(v)
+        return v
 
-    value = evaluate(np.arange(m))
-    batches = np.array_split(np.arange(m), 20)
-    batch_vals = np.array([evaluate(idx) for idx in batches if idx.size >= max(50, Z.shape[1] + 2)])
-    se = float(batch_vals.std(ddof=1) / math.sqrt(batch_vals.size)) if batch_vals.size > 1 else float("nan")
+    value = float(evaluate(np.arange(m)))
+    batch_vals = np.array([evaluate(idx) for idx in np.array_split(np.arange(m), 20)])
+    se = float(batch_vals.std(ddof=1) / math.sqrt(batch_vals.size))
     return MonteCarloValue(value=value, se=se)
 
 
@@ -621,6 +624,11 @@ def theoretical_variance_oracle(
 
 def _safe_name(method: str) -> str:
     return method.replace(":", "-")
+
+
+# the MethodSummary fields written to cells.csv; csv writes a float as str(), which is its repr()
+_CELL_COLUMNS = ("reps_ok", "reps_failed", "mean", "variance", "n_mse",
+                 "coverage", "coverage_nonet", "ci_halfwidth", "mean_kept")
 
 
 def emit_report(summary: ScenarioSummary, out_dir) -> list[Path]:
@@ -638,22 +646,11 @@ def emit_report(summary: ScenarioSummary, out_dir) -> list[Path]:
     path = out / "cells.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "scenario", "n", "pi", "p", "method", "reps_ok", "reps_failed",
-                "mean", "variance", "n_mse", "coverage", "coverage_nonet",
-                "ci_halfwidth", "mean_kept",
-            ]
-        )
+        writer.writerow(["scenario", "n", "pi", "p", "method", *_CELL_COLUMNS])
         for name, ms in summary.methods.items():
-            writer.writerow(
-                [
-                    summary.scenario_id, summary.n, summary.pi, summary.p, name,
-                    ms.reps_ok, ms.reps_failed, repr(ms.mean), repr(ms.variance),
-                    repr(ms.n_mse), ms.coverage, ms.coverage_nonet,
-                    ms.ci_halfwidth, ms.mean_kept,
-                ]
-            )
+            row = ms.to_dict()
+            writer.writerow([summary.scenario_id, summary.n, summary.pi, summary.p, name,
+                             *(row[c] for c in _CELL_COLUMNS)])
     written.append(path)
     for name, ms in summary.methods.items():
         sd = math.sqrt(max(ms.variance * summary.n, 0.0) / summary.n)
@@ -795,15 +792,14 @@ def reproduce_table(
                 "n_mse": ms.n_mse, "n_mse_reference": mse_ref,
             })
     elif table_id in ("table5", "table6"):
+        keys = {short: ":".join(_resolve_method(short)) for short in _VARIANCES}  # default variances
         for period in ("morning", "midday"):
             scenario = get_scenario(
                 "contact-vaccine", period=period, contacts_path=contacts.get(period)
             )
             if table_id == "table5":
-                summary = run_scenario(
-                    scenario, scenario.network.n, ("dim", "linear", "np"), 1, seed, 1
-                )
-                for short, key in (("dim", "dim:spectral"), ("linear", "linear:spectral"), ("np", "np:polyseq")):
+                summary = run_scenario(scenario, scenario.network.n, tuple(keys), 1, seed, 1)
+                for short, key in keys.items():
                     ms = summary.methods[key]
                     ref = _TABLE5_REFERENCE[(period, short)]
                     se = math.sqrt(ms.mean_v_hat / summary.n)
@@ -814,11 +810,9 @@ def reproduce_table(
                         "ci_low": ms.mean - ms.ci_halfwidth, "ci_high": ms.mean + ms.ci_halfwidth,
                     })
             else:
-                summary = run_scenario(
-                    scenario, scenario.network.n, ("dim", "linear", "np"), reps, seed, workers
-                )
-                dim_var = summary.methods["dim:spectral"].variance
-                for short, key in (("dim", "dim:spectral"), ("linear", "linear:spectral"), ("np", "np:polyseq")):
+                summary = run_scenario(scenario, scenario.network.n, tuple(keys), reps, seed, workers)
+                dim_var = summary.methods[keys["dim"]].variance
+                for short, key in keys.items():
                     ms = summary.methods[key]
                     ref = _TABLE6_REFERENCE[(period, short)]
                     cells.append({

@@ -87,7 +87,7 @@ class KernelConfig:
 
 
 def _kernel_1d(q: int, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The order-q kernel at every entry of t, written into `out`.
+    """The order-q kernel at every entry of t, written into `out`; q is one KernelConfig accepted.
 
     With `out` given, t must be a float array of the same shape, and it may
     be overwritten (orders 4 and 6 use it as scratch); without `out`, t is
@@ -95,8 +95,6 @@ def _kernel_1d(q: int, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     closed form above, in the same order, so every entry, signed zeros
     included, is bit for bit what the whole-array expression gives.
     """
-    if q not in _ORDERS:
-        raise ValueError(f"unsupported kernel order {q}")
     if out is None:
         t = np.array(t, dtype=float)
         out = np.empty_like(t)

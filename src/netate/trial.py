@@ -1,12 +1,12 @@
 """Experiment datasets: assignment, exposures, outcome models, and ingestion.
 
 Outcome models are registered by id.  Each registry entry owns its covariate
-law, its noise law, the outcome function f(w, exposure), the exposure
-derivative of f (used by variance oracles), and whether the conditional
-mean E[f(w, pi) | z] is f at zero noise.  A covariate draw can carry
-hidden arrays consumed only by the outcome function (e.g. a raw vulnerability
-of which the observed covariate is a perturbed version); estimators only ever
-see the observed matrix Z.
+law, whether standard normal outcome noise is drawn, the outcome function
+f(w, exposure), the exposure derivative of f (used by variance oracles), and
+whether the conditional mean E[f(w, pi) | z] is f at zero noise.  A
+covariate draw can carry hidden arrays consumed only by the outcome function
+(e.g. a raw vulnerability of which the observed covariate is a perturbed
+version); estimators only ever see the observed matrix Z.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class OutcomeModel:
 
     @property
     def p(self) -> int:
-        return int(self.params.get("p", _REGISTRY[self.scenario_id].default_p))
+        return int(self.params.get("p", 1))
 
 
 def check_p(p) -> int:
@@ -143,23 +143,17 @@ class MonteCarloValue(NamedTuple):
 
 @dataclass(frozen=True)
 class _OutcomeDef:
-    default_p: int
+    # the covariate law: (model, n, rng) -> CovariateDraw, reading p from model.p
     sample_covariates: Callable
-    sample_noise: Callable
+    # True: the outcome noise is n standard normal draws.  False: the outcome
+    # ignores its noise argument, so no draw is made and the generator is untouched
+    noisy: bool
     outcome: Callable
     outcome_deriv: Callable
     # True only when the outcome reads the draw through Z alone and its noise
     # enters additively with mean zero, so that E[f(w, pi) | Z] is the outcome
     # formula at zero noise.  A model without that property sets False.
     closed_form_mean: bool
-
-
-def _normal_noise(model, n, rng):
-    return rng.standard_normal(n)
-
-
-def _no_noise(model, n, rng):
-    return np.zeros(n)
 
 
 def _quadratic_cov(model, n, rng):
@@ -188,7 +182,7 @@ def _kernel_scn_scale(p: int) -> float:
 
 
 def _smooth_cov(model, n, rng):
-    p = int(model.params.get("p", 1))
+    p = model.p
     z = rng.standard_normal((n, p)) @ _ar_cholesky(p).T
     return CovariateDraw(Z=z)
 
@@ -232,8 +226,7 @@ def _vaccine_deriv(model, w, e, draw, noise):
 
 
 def _const_cov(model, n, rng):
-    p = int(model.params.get("p", 1))
-    return CovariateDraw(Z=rng.standard_normal((n, p)))
+    return CovariateDraw(Z=rng.standard_normal((n, model.p)))
 
 
 def _const_outcome(model, w, e, draw, noise):
@@ -247,27 +240,24 @@ def _const_deriv(model, w, e, draw, noise):
 _REGISTRY: dict[str, _OutcomeDef] = {
     # degenerate outcome, useful for exactness checks
     "constant": _OutcomeDef(
-        default_p=1,
         sample_covariates=_const_cov,
-        sample_noise=_no_noise,
+        noisy=False,
         outcome=_const_outcome,
         outcome_deriv=_const_deriv,
         closed_form_mean=True,
     ),
     # treated arm reacts quadratically to the exposure fraction; scalar uniform covariate
     "sec31-validation": _OutcomeDef(
-        default_p=1,
         sample_covariates=_quadratic_cov,
-        sample_noise=_normal_noise,
+        noisy=True,
         outcome=_quadratic_outcome,
         outcome_deriv=_quadratic_deriv,
         closed_form_mean=True,
     ),
     # linear exposure response with a nonlinear (exp) covariate signal; AR(0.5) Gaussian z
     "sec41-main": _OutcomeDef(
-        default_p=1,
         sample_covariates=_smooth_cov,
-        sample_noise=_normal_noise,
+        noisy=True,
         outcome=_smooth_outcome,
         outcome_deriv=_smooth_deriv,
         closed_form_mean=True,
@@ -275,9 +265,8 @@ _REGISTRY: dict[str, _OutcomeDef] = {
     # vaccine response on a contact network; observed covariate is a perturbed
     # vulnerability, and randomness enters through the covariate draw only
     "contact-vaccine": _OutcomeDef(
-        default_p=1,
         sample_covariates=_vaccine_cov,
-        sample_noise=_no_noise,
+        noisy=False,
         outcome=_vaccine_outcome,
         outcome_deriv=_vaccine_deriv,
         closed_form_mean=False,
@@ -319,8 +308,8 @@ def sample_covariates(model: OutcomeModel, n: int, rng: np.random.Generator) -> 
 
 
 def sample_outcome_noise(model: OutcomeModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw the model's outcome noise (a zero vector for noiseless models)."""
-    return _definition(model).sample_noise(model, n, rng)
+    """Draw the model's outcome noise (a zero vector, drawing nothing, for noiseless models)."""
+    return rng.standard_normal(n) if _definition(model).noisy else np.zeros(n)
 
 
 def outcome_values(
@@ -369,13 +358,11 @@ def outcome_exposure_derivative(
     w: np.ndarray,
     exposures: np.ndarray | float,
     covariates: CovariateDraw,
-    noise: np.ndarray | None = None,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """d/d(exposure) of the outcome formula; used by variance oracles."""
     w = np.asarray(w, dtype=float)
     e = np.broadcast_to(np.asarray(exposures, dtype=float), w.shape)
-    if noise is None:
-        noise = np.zeros(w.shape[0])
     return np.asarray(_definition(model).outcome_deriv(model, w, e, covariates, noise), dtype=float)
 
 
@@ -397,19 +384,15 @@ def ate_oracle(
         raise ValueError("mc_reps must be at least 10^4")
     if not 0.0 < pi < 1.0:
         raise ValueError("pi must lie in (0, 1)")
-    d = _definition(model)
     total = 0.0
     total_sq = 0.0
     done = 0
-    ones = np.ones
     while done < mc_reps:
         m = min(200_000, mc_reps - done)
-        draw = d.sample_covariates(model, m, rng)
-        noise = d.sample_noise(model, m, rng)
-        diff = np.asarray(
-            d.outcome(model, ones(m), pi, draw, noise) - d.outcome(model, np.zeros(m), pi, draw, noise),
-            dtype=float,
-        )
+        draw = sample_covariates(model, m, rng)
+        noise = sample_outcome_noise(model, m, rng)
+        f1 = outcome_values(model, np.ones(m), pi, draw, noise)
+        diff = f1 - outcome_values(model, np.zeros(m), pi, draw, noise)
         total += float(diff.sum())
         total_sq += float((diff * diff).sum())
         done += m

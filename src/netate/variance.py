@@ -100,10 +100,7 @@ def leading_eigenpairs(network: Network, r: int) -> SpectralDecomposition:
     below 0.12e-11 |lambda_1|).  The PC-balancing weights need only the
     span of the r eigenvectors: on paper-sec3 graphs (40 at n=1000, 4 at
     n=4000) they moved from the tol=0 pairs by at most 1.8e-11 relative,
-    and the derivative means by at most 5.1e-11.  With the int32 indices of
-    `Network`, a call falls from 54-81 to 39-47 ms at n=1000 and from
-    1.8-2.0 to 1.2-1.3 s at n=4000 (medians of 5 and 3 graphs, best of 3,
-    2-core Xeon).
+    and the derivative means by at most 5.1e-11.
 
     The Lanczos start vector is a fixed-seed Gaussian, drawn from its own
     generator (never the caller's, so no later draw moves).  The constant
@@ -123,10 +120,7 @@ def leading_eigenpairs(network: Network, r: int) -> SpectralDecomposition:
     Lanczos call, not by ``import netate``: it adds about 0.08 s and 8 MB
     to a start-up that needs neither.  A process pays that once, but each
     pool child of ``run_scenario(..., workers>1)`` whose parent never ran
-    Lanczos pays it again on every call: sec31-validation at n=400, 8
-    replicates, workers=2 took 0.22-0.24 s a call against 0.12-0.15 s with
-    the import at the top (medians of 5 calls in 3 interpreters, 2-core
-    Xeon).
+    Lanczos pays it again on every call.
     """
     n = network.n
     if not 1 <= r <= n:

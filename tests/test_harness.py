@@ -217,6 +217,26 @@ def test_oracle_formula_validation():
         theoretical_variance_oracle(s, "Vxx", 10_000, rng_for(51))
 
 
+@pytest.mark.parametrize(
+    "scenario_id, p, formula, params",
+    [
+        ("sec31-validation", None, "Vreg", None),
+        ("sec31-validation", None, "Vdim", None),
+        ("sec31-validation", None, "Valpha", {"alpha1": [0.5], "alpha0": [0.0]}),
+        ("sec41-main", 5, "Vnp", None),
+        ("sec41-main", 60, "Vreg", None),  # p + 2 = 62 sets the minimum, not 50
+    ],
+)
+def test_oracle_rejects_too_few_draws_and_returns_floats(scenario_id, p, formula, params):
+    s = get_scenario(scenario_id, p=p)
+    minimum = 20 * max(50, s.p + 2)
+    with pytest.raises(ValueError, match=f"mc_reps must be at least {minimum}"):
+        theoretical_variance_oracle(s, formula, minimum - 1, rng_for(57), params)
+    out = theoretical_variance_oracle(s, formula, minimum, rng_for(57), params)
+    assert type(out.value) is float and type(out.se) is float
+    assert math.isfinite(out.value) and out.se > 0
+
+
 def test_oracle_vdim_dominates_vreg():
     for s in (get_scenario("sec31-validation", pi=0.5),
               get_scenario("sec41-main", p=2),

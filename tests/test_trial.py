@@ -22,7 +22,7 @@ from netate import (
     save_trial_csv,
     simulate_outcomes,
 )
-from netate.trial import conditional_mean
+from netate.trial import conditional_mean, sample_outcome_noise
 
 from conftest import rng_for
 
@@ -162,6 +162,20 @@ def test_conditional_mean_unavailable_for_vaccine():
     model = OutcomeModel("contact-vaccine")
     with pytest.raises(UnknownScenarioError, match="closed-form"):
         conditional_mean(model, 1, 0.2, sample_covariates(model, 5, rng_for(13)))
+
+
+@pytest.mark.parametrize(
+    "scenario_id, noisy",
+    [("constant", False), ("contact-vaccine", False), ("sec31-validation", True), ("sec41-main", True)],
+)
+def test_sample_outcome_noise_draws_only_for_noisy_models(scenario_id, noisy):
+    # a noiseless model must leave the generator where the covariate draw left it,
+    # so that the next replicate's draws do not move
+    rng, twin = rng_for(17), rng_for(17)
+    noise = sample_outcome_noise(OutcomeModel(scenario_id), 40, rng)
+    expected = twin.standard_normal(40) if noisy else np.zeros(40)
+    assert np.array_equal(noise, expected)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

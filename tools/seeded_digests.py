@@ -2,9 +2,11 @@
 
 Run as `PYTHONPATH=src python tools/seeded_digests.py` in each tree; about 6 s on two cores.
 Cases: the quadrature oracles (graphon_b, graphon_degree_profile, a rank1: graphon's
-normalisation, kernel_moment), run_scenario summaries (JSON plus raw estimates; only n=400
-runs Lanczos) of get_scenario with and without its overrides and of a contact file passed by
-path, their emit_report files, reproduce_table table1/table5 at budget 0.02, `netate
+normalisation, kernel_moment), the Monte Carlo oracles (ate_oracle on every outcome model at
+250 000 draws, i.e. two chunks; theoretical_variance_oracle Vreg, Vdim and Valpha on
+sec31-validation and Vnp on sec41-main p=5), run_scenario summaries (JSON plus raw estimates;
+only n=400 runs Lanczos) of get_scenario with and without its overrides and of a contact file
+passed by path, their emit_report files, reproduce_table table1/table5 at budget 0.02, `netate
 estimate`, and `netate simulate` with a `--graphon` override.
 """
 
@@ -17,8 +19,9 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from netate import (KernelConfig, contact_network, emit_report, get_scenario, graphon_b,
-                    graphon_degree_profile, kernel_moment, make_graphon, reproduce_table, run_scenario)
+from netate import (KernelConfig, OutcomeModel, ate_oracle, contact_network, emit_report, get_scenario,
+                    graphon_b, graphon_degree_profile, kernel_moment, make_graphon, reproduce_table,
+                    run_scenario, theoretical_variance_oracle)
 from netate import trial as tr
 from netate.cli import main as cli_main
 
@@ -32,6 +35,11 @@ SUMMARIES = [
     # a copy of the bundled midday file, loaded by path; its case is named by the file name
     ("contact-vaccine", {"contacts_path": Path("midday-copy.csv")}, 0, ("dim", "linear", "np")),
 ]
+OUTCOME_MODELS = [("constant", {"c": 2.5}), ("sec31-validation", {}), ("sec41-main", {"p": 3}),
+                  ("contact-vaccine", {})]
+VARIANCE_ORACLES = [("sec31-validation", {}, "Vreg", None), ("sec31-validation", {}, "Vdim", None),
+                    ("sec31-validation", {}, "Valpha", {"alpha1": [0.5], "alpha0": [-0.25]}),
+                    ("sec41-main", {"p": 5}, "Vnp", None)]
 MULTI_INDICES = ([0], [1], [2], [4], [6], [2, 2], [3, 0, 4])
 ESTIMATES = [("dim", "spectral"), ("dim", "conservative"), ("linear", "spectral"),
              ("linear", "conservative"), ("linear", "none"), ("np", "polyseq"), ("np", "none")]
@@ -49,6 +57,13 @@ emit("oracle/rank1-eigenvalues", np.array(make_graphon("rank1:exp(x)*sin(3*x)+2"
 for q in (2, 4, 6):
     config = KernelConfig(q=q, p=3, h_band=1.0, b_trim=0.1)
     emit(f"oracle/kernel_moment/q={q}", np.array([kernel_moment(config, m) for m in MULTI_INDICES]).tobytes())
+for k, (sid, params) in enumerate(OUTCOME_MODELS):
+    out = ate_oracle(OutcomeModel(sid, params), 0.3, 250_000, np.random.default_rng(80 + k))
+    emit(f"oracle/ate/{sid}", np.array(out).tobytes())
+for k, (sid, kwargs, formula, params) in enumerate(VARIANCE_ORACLES):
+    out = theoretical_variance_oracle(get_scenario(sid, **kwargs), formula, 20_000,
+                                      np.random.default_rng(90 + k), params)
+    emit(f"oracle/variance/{sid}-{formula}", np.array(out).tobytes())
 
 with tempfile.TemporaryDirectory() as tmp:
     root = Path(tmp)
