@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import set_openblas_threads, usable_cores
 from ._errors import NetateError, UnknownScenarioError
 from .estimators import (
     EstimateResult,
@@ -112,14 +113,14 @@ class Scenario:
         return CONTACT_RANK if self.graphon is None else self.graphon.rank_hint
 
 
-# id -> (default pi, whether p may be set, closed-form population ATE as a
-# function of pi).  Every scenario but contact-vaccine samples paper-sec3
-# graphs; contact-vaccine runs on the fixed contact network.
+# id -> (default pi, closed-form population ATE as a function of pi).  Whether p
+# may be set is the outcome model's.  Every scenario but contact-vaccine samples
+# paper-sec3 graphs; contact-vaccine runs on the fixed contact network.
 _PRESETS = {
-    "sec31-validation": (0.5, False, lambda pi: -2.0 * (1.0 - pi) ** 2 + pi**2),
-    "sec41-main": (0.7, True, lambda pi: pi - 0.5),
+    "sec31-validation": (0.5, lambda pi: -2.0 * (1.0 - pi) ** 2 + pi**2),
+    "sec41-main": (0.7, lambda pi: pi - 0.5),
     # E[2 / (1 + exp(-z*))] = 1 for symmetric z*
-    "contact-vaccine": (0.2, False, lambda pi: -0.4 * (1.0 - math.sqrt(pi))),
+    "contact-vaccine": (0.2, lambda pi: -0.4 * (1.0 - math.sqrt(pi))),
 }
 
 
@@ -166,15 +167,11 @@ def get_scenario(
     """Build a registered scenario, optionally overriding its knobs."""
     if scenario_id not in _PRESETS:
         raise UnknownScenarioError(f"unknown scenario {scenario_id!r}; known: {scenario_ids()}")
-    default_pi, p_settable, _ = _PRESETS[scenario_id]
-    dim = 1 if p is None else check_p(p)
-    if dim != 1 and not p_settable:
-        raise ValueError("this scenario owns a scalar covariate")
     fixed = scenario_id == "contact-vaccine"
     base = Scenario(
         id=scenario_id,
-        outcome=OutcomeModel(scenario_id, {"p": dim} if p_settable else {}),
-        pi=default_pi,
+        outcome=OutcomeModel(scenario_id, {"p": 1 if p is None else check_p(p)}),
+        pi=_PRESETS[scenario_id][0],
         graphon=None if fixed else make_graphon("paper-sec3"),
         network=contact_network(period, contacts_path) if fixed else None,
     )
@@ -191,7 +188,7 @@ def true_tau(scenario: Scenario) -> float:
     """Closed-form population ATE of a registered scenario (depends on pi)."""
     if scenario.id not in _PRESETS:
         raise UnknownScenarioError(scenario.id)
-    return _PRESETS[scenario.id][2](scenario.pi)
+    return _PRESETS[scenario.id][1](scenario.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +428,13 @@ def _aggregate(method: str, records: list[dict], tau: float, n: int) -> MethodSu
     )
 
 
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose children split the usable cores: each runs max(1, cores // workers)
+    threads in both bundled OpenBLAS copies, and the Lanczos products take that share too."""
+    share = max(1, usable_cores() // workers)
+    return ProcessPoolExecutor(max_workers=workers, initializer=set_openblas_threads, initargs=(share,))
+
+
 def run_scenario(
     scenario: Scenario,
     n: int,
@@ -492,7 +496,7 @@ def run_scenario(
         for rep in range(reps)
     ]
     if workers > 1 and reps > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _worker_pool(workers) as pool:
             results = list(pool.map(_run_replicate, tasks, chunksize=max(1, reps // (workers * 8))))
     else:
         results = [_run_replicate(t) for t in tasks]

@@ -109,7 +109,11 @@ class OutcomeModel:
                 f"unknown outcome model {self.scenario_id!r}; known: {sorted(_REGISTRY)}"
             )
         if "p" in self.params:
-            check_p(self.params["p"])
+            p = check_p(self.params["p"])
+            if p != 1 and not _REGISTRY[self.scenario_id].p_settable:
+                raise ValueError(
+                    f"outcome model {self.scenario_id!r} owns a scalar covariate; p must be 1, got {p}"
+                )
 
     @property
     def p(self) -> int:
@@ -143,8 +147,11 @@ class MonteCarloValue(NamedTuple):
 
 @dataclass(frozen=True)
 class _OutcomeDef:
-    # the covariate law: (model, n, rng) -> CovariateDraw, reading p from model.p
+    # the covariate law: (model, n, rng) -> CovariateDraw
     sample_covariates: Callable
+    # True: the law draws model.p columns.  False: it draws one, so OutcomeModel
+    # (and with it get_scenario) rejects p != 1
+    p_settable: bool
     # True: the outcome noise is n standard normal draws.  False: the outcome
     # ignores its noise argument, so no draw is made and the generator is untouched
     noisy: bool
@@ -241,6 +248,7 @@ _REGISTRY: dict[str, _OutcomeDef] = {
     # degenerate outcome, useful for exactness checks
     "constant": _OutcomeDef(
         sample_covariates=_const_cov,
+        p_settable=True,
         noisy=False,
         outcome=_const_outcome,
         outcome_deriv=_const_deriv,
@@ -249,6 +257,7 @@ _REGISTRY: dict[str, _OutcomeDef] = {
     # treated arm reacts quadratically to the exposure fraction; scalar uniform covariate
     "sec31-validation": _OutcomeDef(
         sample_covariates=_quadratic_cov,
+        p_settable=False,
         noisy=True,
         outcome=_quadratic_outcome,
         outcome_deriv=_quadratic_deriv,
@@ -257,6 +266,7 @@ _REGISTRY: dict[str, _OutcomeDef] = {
     # linear exposure response with a nonlinear (exp) covariate signal; AR(0.5) Gaussian z
     "sec41-main": _OutcomeDef(
         sample_covariates=_smooth_cov,
+        p_settable=True,
         noisy=True,
         outcome=_smooth_outcome,
         outcome_deriv=_smooth_deriv,
@@ -266,6 +276,7 @@ _REGISTRY: dict[str, _OutcomeDef] = {
     # vulnerability, and randomness enters through the covariate draw only
     "contact-vaccine": _OutcomeDef(
         sample_covariates=_vaccine_cov,
+        p_settable=False,
         noisy=False,
         outcome=_vaccine_outcome,
         outcome_deriv=_vaccine_deriv,

@@ -13,11 +13,13 @@ variance.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
+from ._blas import thread_budget
 from ._errors import InvalidVarianceError, SingularDesignError
 from .estimators import EstimateResult, linear_adjusted
 from .graphon import Network, require_positive_degrees
@@ -42,6 +44,10 @@ DENSE_EIG_THRESHOLD = 300
 # eigsh's relative accuracy goal on the Lanczos path (its default, 0, means
 # machine precision); leading_eigenpairs states what it guarantees
 LANCZOS_TOL = 1e-11
+# stored entries from which the Lanczos products run by row blocks on several threads; the
+# measured crossover is in leading_eigenpairs
+_SPLIT_NNZ = 1 << 20
+_BLOCKS_PER_THREAD = 8
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,29 @@ def leading_eigenpairs(network: Network, r: int) -> SpectralDecomposition:
     tori) a copy can be missed and a smaller eigenvalue returned in its
     place.  Sampled graphon graphs have simple spectra almost surely.
 
+    From _SPLIT_NNZ = 2**20 stored entries, and with a thread budget T >= 2,
+    each Lanczos product A @ x runs on T threads: the rows are cut into 8T
+    blocks of equal stored-entry counts, and the caller and T - 1 helper
+    threads each take the next untaken block until none is left
+    (``_split_matvec``; sparsetools releases the GIL).  A row's sum is the
+    same loop in the same order as in A @ x, so every product, and with it
+    every eigenpair and seeded summary, is bit-identical to the one-thread
+    path.  T is the thread count of scipy's bundled OpenBLAS, the BLAS that
+    ARPACK calls, capped at the cores the process may use; it follows
+    ``OPENBLAS_NUM_THREADS``, a ``run_scenario`` pool child gets its share
+    of the cores, and T = 1 where that library is not found.  The threshold
+    is the measured crossover: paper-sec3 graphs with r=3, 2-core Xeon, T=2,
+    medians of 8 alternations, one thread against split, took 42 / 58 ms at
+    n = 1000 (0.17M entries), 128 / 148 at n = 2000 (0.60M), 253 / 242 at
+    n = 2500 (0.93M, split won 5 of 8), 600 / 359 at n = 3000 (1.26M) and
+    753 / 494 at n = 4000 (2.02M).  Blocks are taken, not assigned, because
+    a helper can wake late: with one block per thread and the caller
+    waiting on its helper, n = 4000 took 1.8-2.4 s against 1.1-1.2 s on
+    one thread in two runs while the VM lost about 10% of its time to
+    other tenants; on a quiet VM the two ways ran alike (0.49 against
+    0.46 s, one thread 0.73 s), and so did 2, 4 and 8 blocks per thread
+    (0.47 / 0.46 / 0.46 s).
+
     ``scipy.sparse.linalg`` (with ``scipy.linalg``) is imported on the first
     Lanczos call, not by ``import netate``: it adds about 0.08 s and 8 MB
     to a start-up that needs neither.  A process pays that once, but each
@@ -132,11 +161,78 @@ def leading_eigenpairs(network: Network, r: int) -> SpectralDecomposition:
         # ARPACK rejects the zero matrix; this is what the dense path returns
         return SpectralDecomposition(eigenvalues=np.zeros(r), eigenvectors=np.eye(n, r))
     else:
-        import scipy.sparse.linalg as spla  # deferred: see the docstring
-        v0 = np.random.default_rng(0).standard_normal(n)
-        vals, vecs = spla.eigsh(network.adjacency, k=r, which="LM", v0=v0, tol=LANCZOS_TOL)
+        threads = thread_budget() if network.adjacency.nnz >= _SPLIT_NNZ else 1
+        vals, vecs = _lanczos(network.adjacency, r, threads)
         order = np.argsort(-np.abs(vals), kind="stable")
     return SpectralDecomposition(eigenvalues=vals[order], eigenvectors=vecs[:, order])
+
+
+def _row_blocks(adjacency, parts: int) -> list[tuple]:
+    """`parts` CSR row blocks of `adjacency` with about equal stored-entry counts.
+
+    A block is (first row, end row, indptr, indices, data): `indices` and `data` are views of
+    the adjacency's, and only `indptr`, shifted to start at 0, is new.  A block may hold no rows.
+    """
+    indptr = adjacency.indptr
+    cuts = np.searchsorted(indptr, np.arange(parts + 1) * (adjacency.nnz / parts))
+    cuts[0], cuts[-1] = 0, adjacency.shape[0]
+    return [
+        (a, b, indptr[a:b + 1] - indptr[a], adjacency.indices[indptr[a]:indptr[b]],
+         adjacency.data[indptr[a]:indptr[b]])
+        for a, b in zip(cuts[:-1], cuts[1:])
+    ]
+
+
+def _split_matvec(adjacency, threads: int, pool):
+    """x -> adjacency @ x, its row blocks shared out between the caller and threads - 1 helpers.
+
+    `pool` runs the helpers.  Each thread takes the next untaken block until none is left, so a
+    helper that wakes late costs no wait: the caller takes its blocks and cancels it if it never
+    started.  Each row's sum is the loop and order of ``adjacency @ x``, so the product equals
+    it bit for bit.
+    """
+    from scipy.sparse._sparsetools import csr_matvec  # the loop of A @ x; it releases the GIL
+
+    blocks = _row_blocks(adjacency, _BLOCKS_PER_THREAD * threads)
+    n_row, n_col = adjacency.shape
+
+    def matvec(x):
+        y = np.zeros(n_row)
+        todo = iter(blocks)
+
+        def drain():
+            for a, b, indptr, indices, data in todo:  # next() is one call under the GIL
+                csr_matvec(b - a, n_col, indptr, indices, data, x, y[a:b])
+
+        helpers = [pool.submit(drain) for _ in range(threads - 1)]
+        drain()
+        for helper in helpers:
+            if not helper.cancel():
+                while not helper.done():  # its last block is short: poll, keeping this core awake
+                    time.sleep(0)
+                helper.result()
+        return y
+
+    return matvec
+
+
+def _lanczos(adjacency, r: int, threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """``eigsh``'s r largest-|lambda| pairs; with threads >= 2, through `_split_matvec`.
+
+    The helper pool lives only for this call: a ``run_scenario`` pool child forked later must
+    not inherit its threads.
+    """
+    import scipy.sparse.linalg as spla  # deferred: see leading_eigenpairs
+
+    v0 = np.random.default_rng(0).standard_normal(adjacency.shape[0])
+    if threads < 2:
+        return spla.eigsh(adjacency, k=r, which="LM", v0=v0, tol=LANCZOS_TOL)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        op = spla.LinearOperator(adjacency.shape, matvec=_split_matvec(adjacency, threads, pool),
+                                 dtype=adjacency.dtype)
+        return spla.eigsh(op, k=r, which="LM", v0=v0, tol=LANCZOS_TOL)
 
 
 def pc_balancing_weights(

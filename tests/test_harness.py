@@ -19,7 +19,8 @@ from netate import (
     theoretical_variance_oracle,
     true_tau,
 )
-from netate.harness import TABLE_IDS, _estimate_once, _resolve_method, _Settings, scenario_ids
+from netate import _blas
+from netate.harness import TABLE_IDS, _estimate_once, _resolve_method, _Settings, _worker_pool, scenario_ids
 from netate.variance import conservative_network_term, variance_np_polyseq
 
 from conftest import rng_for
@@ -61,6 +62,17 @@ def test_get_scenario_rejects_p_below_one(p):
             get_scenario(scenario_id, p=p)
     with pytest.raises(ValueError, match=message):  # a model built directly is checked too
         OutcomeModel("sec41-main", {"p": p})
+
+
+@pytest.mark.parametrize("scenario_id", ["sec31-validation", "contact-vaccine"])
+def test_scalar_covariate_models_reject_p(scenario_id):
+    # their covariate law draws one column whatever p says
+    message = f"outcome model '{scenario_id}' owns a scalar covariate; p must be 1, got 3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OutcomeModel(scenario_id, {"p": 3})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        get_scenario(scenario_id, p=3)
+    assert OutcomeModel(scenario_id, {"p": 1}).p == 1
 
 
 def test_contact_scenario_rejects_missing_file_and_bad_period(tmp_path):
@@ -108,6 +120,20 @@ def test_run_scenario_worker_invariance_small():
     two = run_scenario(s, 100, ("np", "dim"), reps=6, seed=9, workers=2)
     assert one.to_dict() == two.to_dict()
     assert (one.methods["np:polyseq"].estimates == two.methods["np:polyseq"].estimates).all()
+
+
+def _child_openblas_threads():
+    return _blas.openblas_threads("numpy"), _blas.openblas_threads("scipy"), _blas.thread_budget()
+
+
+def test_pool_children_split_the_cores():
+    # each child runs cores // workers threads in both OpenBLAS copies, so workers=2 on two
+    # cores runs two BLAS threads in all, not four
+    if _blas._openblas("numpy") is None or _blas._openblas("scipy") is None:
+        pytest.skip("no bundled OpenBLAS found")
+    share = max(1, _blas.usable_cores() // 2)
+    with _worker_pool(2) as pool:
+        assert pool.submit(_child_openblas_threads).result(timeout=60) == (share, share, share)
 
 
 def test_run_scenario_failure_reporting():

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -195,6 +198,67 @@ def test_run_scenario_worker_invariance_lanczos():
     one = run_scenario(s, 400, ("linear",), reps=4, seed=11, workers=1)
     two = run_scenario(s, 400, ("linear",), reps=4, seed=11, workers=2)
     assert one.to_dict() == two.to_dict()
+
+
+def half_isolated_graph(n, seed):
+    """A paper-sec3 graph on the odd vertices; every even vertex is isolated (an empty row)."""
+    rng = rng_for(47, seed)
+    core = sample_graph(make_graphon("paper-sec3"), sample_latents(n // 2, rng), rng)
+    i, j = core.adjacency.nonzero()
+    return Network.from_edges(n, [(2 * a + 1, 2 * b + 1) for a, b in zip(i, j) if a < b])
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_split_matvec_equals_the_product_bit_for_bit(threads):
+    net = half_isolated_graph(600, threads)
+    a = net.adjacency
+    blocks = netate.variance._row_blocks(a, netate.variance._BLOCKS_PER_THREAD * threads)
+    assert any(a.indptr[first] == a.indptr[first + 1] for first, *_ in blocks[1:])  # cut at an empty row
+    assert [first for first, *_ in blocks[1:]] == [end for _, end, *_ in blocks[:-1]]
+    x = rng_for(48, threads).standard_normal(net.n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the GIL often, so a block taken twice would show
+    try:
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            matvec = netate.variance._split_matvec(a, threads, pool)
+            for _ in range(20):  # helpers that start early, late or never
+                assert np.array_equal(matvec(x), a @ x)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_row_blocks_view_the_adjacency():
+    a = half_isolated_graph(300, 0).adjacency
+    blocks = netate.variance._row_blocks(a, 5)
+    for _, _, indptr, indices, data in blocks:
+        assert np.shares_memory(indices, a.indices) and np.shares_memory(data, a.data)
+        assert indptr[0] == 0 and indptr[-1] == indices.size == data.size
+    assert sum(data.size for *_, data in blocks) == a.nnz
+
+
+def test_lanczos_split_returns_the_unsplit_pairs():
+    a = paper_trial(400, 0).network.adjacency
+    vals, vecs = netate.variance._lanczos(a, 3, threads=1)
+    for threads in (2, 3):
+        split_vals, split_vecs = netate.variance._lanczos(a, 3, threads)
+        assert np.array_equal(split_vals, vals) and np.array_equal(split_vecs, vecs)
+
+
+def test_pool_after_threaded_lanczos_matches_serial():
+    # the helper threads end with the call, so a pool forked afterwards neither inherits
+    # nor waits on them
+    before = threading.active_count()
+    netate.variance._lanczos(paper_trial(400, 1).network.adjacency, 3, threads=2)
+    assert threading.active_count() == before
+    s = get_scenario("sec31-validation", pi=0.5)
+    out = {}
+    forked = threading.Thread(target=lambda: out.update(
+        two=run_scenario(s, 400, ("linear",), reps=4, seed=12, workers=2)), daemon=True)
+    forked.start()
+    forked.join(timeout=300)
+    assert not forked.is_alive() and "two" in out
+    one = run_scenario(s, 400, ("linear",), reps=4, seed=12, workers=1)
+    assert out["two"].to_dict() == one.to_dict()
 
 
 def test_eigenpairs_rank_bounds():

@@ -1,13 +1,16 @@
 """Print one sha256 per seeded output; diff two trees' listings for byte identity.
 
-Run as `PYTHONPATH=src python tools/seeded_digests.py` in each tree; about 6 s on two cores.
+Run as `PYTHONPATH=src python tools/seeded_digests.py` in each tree; about 8 s on two cores.
 Cases: the quadrature oracles (graphon_b, graphon_degree_profile, a rank1: graphon's
-normalisation, kernel_moment), the Monte Carlo oracles (ate_oracle on every outcome model at
-250 000 draws, i.e. two chunks; theoretical_variance_oracle Vreg, Vdim and Valpha on
-sec31-validation and Vnp on sec41-main p=5), run_scenario summaries (JSON plus raw estimates;
-only n=400 runs Lanczos) of get_scenario with and without its overrides and of a contact file
-passed by path, their emit_report files, reproduce_table table1/table5 at budget 0.02, `netate
-estimate`, and `netate simulate` with a `--graphon` override.
+normalisation, kernel_moment), leading_eigenpairs on a paper-sec3 graph of n=3000 (about 1.2M
+stored entries, so its Lanczos products run by row blocks when BLAS has two or more threads;
+a tree without that split gives the same hash only if the split is bit-identical), the Monte
+Carlo oracles (ate_oracle on every outcome model at 250 000 draws, i.e. two chunks;
+theoretical_variance_oracle Vreg, Vdim and Valpha on sec31-validation and Vnp on sec41-main
+p=5), run_scenario summaries (JSON plus raw estimates; only n=400 runs Lanczos) of get_scenario
+with and without its overrides and of a contact file passed by path, their emit_report files,
+reproduce_table table1/table5 at budget 0.02, `netate estimate`, and `netate simulate` with a
+`--graphon` override.
 """
 
 import contextlib
@@ -20,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 from netate import (KernelConfig, OutcomeModel, ate_oracle, contact_network, emit_report, get_scenario,
-                    graphon_b, graphon_degree_profile, kernel_moment, make_graphon, reproduce_table,
-                    run_scenario, theoretical_variance_oracle)
+                    graphon_b, graphon_degree_profile, kernel_moment, leading_eigenpairs, make_graphon,
+                    reproduce_table, run_scenario, sample_graph, sample_latents,
+                    theoretical_variance_oracle)
 from netate import trial as tr
 from netate.cli import main as cli_main
 
@@ -54,6 +58,11 @@ emit("oracle/graphon_b/paper-sec3", np.float64(graphon_b(paper)).tobytes())
 emit("oracle/degree_profile/paper-sec3",
      np.array([graphon_degree_profile(paper, x) for x in (0.05, 0.5, 0.9)]).tobytes())
 emit("oracle/rank1-eigenvalues", np.array(make_graphon("rank1:exp(x)*sin(3*x)+2").eigenvalues).tobytes())
+# about 1.2M stored entries, above variance._SPLIT_NNZ = 2**20: with two or more BLAS threads the
+# Lanczos products run by row blocks, which a tree without the split computes in one piece
+rng = np.random.default_rng(60)
+spectral = leading_eigenpairs(sample_graph(paper, sample_latents(3000, rng), rng), 3)
+emit("lanczos/paper-sec3-n3000", spectral.eigenvalues.tobytes(), spectral.eigenvectors.tobytes())
 for q in (2, 4, 6):
     config = KernelConfig(q=q, p=3, h_band=1.0, b_trim=0.1)
     emit(f"oracle/kernel_moment/q={q}", np.array([kernel_moment(config, m) for m in MULTI_INDICES]).tobytes())
