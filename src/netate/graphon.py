@@ -346,7 +346,8 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
         raise ValueError("latents must lie strictly inside (0, 1)")
     rho = spec.edge_density(n)
     row_hits = np.zeros(n, dtype=np.int64)  # edges (i, j > i) of each row i
-    hit_cols = [np.empty(0, dtype=np.int64)]
+    col_idx = _csr_index_dtype(0, n)  # a column index needs to hold n only
+    hit_cols = [np.empty(0, dtype=col_idx)]
     block_rows = max(1, _BLOCK_PAIRS // n)
     for start in range(0, n - 1, block_rows):
         rows = np.arange(start, min(start + block_rows, n - 1))
@@ -359,15 +360,18 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
         counts = np.diff(np.searchsorted(pos, ends), prepend=0)
         row_hits[rows] = counts
         # block position p in row i, starting at s_i, is the pair (i, p - s_i + i + 1)
-        hit_cols.append(pos + np.repeat(rows + 1 - (ends - lengths), counts))
+        block_cols = np.empty(pos.shape[0], dtype=col_idx)
+        np.add(pos, np.repeat(rows + 1 - (ends - lengths), counts), out=block_cols, casting="unsafe")
+        hit_cols.append(block_cols)
     idx = _csr_index_dtype(2 * int(row_hits.sum()), n)
     cols = np.concatenate(hit_cols, dtype=idx)
     del hit_cols
     if cols.size:
         up_ptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(row_hits, out=up_ptr[1:])
-        # the transpose lists each row's neighbours below the diagonal, sorted
-        low = sp.csr_array((np.ones(cols.size), cols, up_ptr), shape=(n, n)).tocsc()
+        # the transpose lists each row's neighbours below the diagonal, sorted;
+        # only its pattern is read, so an int8 one will do
+        low = sp.csr_array((np.ones(cols.size, dtype=np.int8), cols, up_ptr), shape=(n, n)).tocsc()
         # a row of the result is its lower part followed by its upper part
         upper_slot = np.repeat(
             np.tile([False, True], n), np.column_stack([np.diff(low.indptr), row_hits]).ravel()
@@ -376,7 +380,8 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
         indices[upper_slot] = cols
         indices[~upper_slot] = low.indices
         indptr = up_ptr + low.indptr
-        del low, cols, upper_slot
+        # every temporary goes before the float64 data, the largest array, is made
+        del low, cols, upper_slot, up_ptr, row_hits
         a = sp.csr_array((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
     else:  # scipy's empty array, int32-indexed as an empty COO build gives
         a = sp.csr_array((n, n))

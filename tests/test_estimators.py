@@ -24,6 +24,7 @@ from netate import (
     run_scenario,
 )
 from netate.estimators import RCOND_THRESHOLD, TRIM_FACTOR, _group_ols, _np_columns, _np_tuning
+from netate import kernels
 from netate.kernels import weights_matrix
 
 from conftest import WORKERS, rng_for
@@ -397,24 +398,26 @@ def test_nonparametric_dominates_linear_mse(smooth_p5_alpha05_study):
 # kernel sums against the full weights matrix
 # ---------------------------------------------------------------------------
 
-def _dense_reference(data, config):
-    """The estimator from the (n, n) weights matrix.
+def _dense_reference(data, config, sums=None):
+    """The estimator from the (n, n) weights matrix, or from the given sums K @ V.
 
     Returns tau, the kept mask, and p1, p2 and p_hat.  Every kept point has
     positive group masses den1 and den0, since p1 and p2 exceed b_trim > 0.
     """
-    kmat = weights_matrix(data.Z, config)
     w = data.W.astype(float)
+    if sums is None:
+        kmat = weights_matrix(data.Z, config)
+        sums = np.c_[kmat.sum(axis=1), kmat @ w, kmat @ (1.0 - w), kmat @ (data.Y * w),
+                     kmat @ (data.Y * (1.0 - w))]
+    total, den1, den0, num1, num0 = sums.T
     scale = data.n * config.h_band**config.p
-    den1, den0 = kmat @ w, kmat @ (1.0 - w)
     p1 = den1 / (scale * w.mean())
     p2 = den0 / (scale * (1.0 - w.mean()))
     kept = (p1 > config.b_trim) & (p2 > config.b_trim)
-    kept &= kmat.sum(axis=1) / scale > TRIM_FACTOR * config.b_trim
+    kept &= total / scale > TRIM_FACTOR * config.b_trim
     assert (den1[kept] > 0.0).all() and (den0[kept] > 0.0).all()
-    num1, num0 = kmat @ (data.Y * w), kmat @ (data.Y * (1.0 - w))
     tau = (num1[kept] / den1[kept] - num0[kept] / den0[kept]).sum() / data.n
-    return tau, kept, p1, p2, kmat.sum(axis=1) / scale
+    return tau, kept, p1, p2, total / scale
 
 
 @pytest.mark.parametrize("p", [1, 3, 5])
@@ -450,6 +453,32 @@ def test_nonparametric_trim_boundary_matches_dense_reference(side):
     i = int(np.flatnonzero(room)[np.argmin(p1[room])])
     config = KernelConfig(q=4, p=5, h_band=2.0, b_trim=p1[i] * (1.0 + side * 1e-12))
     tau, kept, *_ = _dense_reference(data, config)
+    assert kept[i] == (side < 0)
+    d = nonparametric(data, config)
+    assert d.tau_hat == pytest.approx(tau, rel=1e-12)
+    assert d.diagnostics["kept"] == kept.sum()
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_p1_trim_boundary_matches_symmetric_reference(side):
+    # the window sums against the symmetric pass at the smallest-density
+    # point whose p1 alone sets its fate (8.7 h from 0), b_trim 1e-13
+    # (relative) either side: moments about one global centre put this p1
+    # 5e-13 off, and the window sums agree to rounding
+    rng = rng_for(53)
+    n = 4000
+    Z = rng.standard_normal((n, 1))
+    w = (rng.random(n) < 0.5).astype(int)
+    y = Z[:, 0] + w + 0.1 * rng.standard_normal(n)
+    data = TrialData(Y=y, W=w, Z=Z, pi=0.5)
+    q, h, _ = rule_of_thumb(n, 1, 0.05, Z)
+    probe = KernelConfig(q=q, p=1, h_band=h, b_trim=h)
+    sums = kernels._symmetric_sums(Z, np.ascontiguousarray(Z.T), probe, _np_columns(data))
+    *_, p1, p2, p_hat = _dense_reference(data, probe, sums)
+    room = (p1 > 0) & (p2 > 1.1 * p1) & (p_hat > 1.1 * p1)
+    i = int(np.flatnonzero(room)[np.argmin(p1[room])])
+    config = KernelConfig(q=q, p=1, h_band=h, b_trim=p1[i] * (1.0 + side * 1e-13))
+    tau, kept, *_ = _dense_reference(data, config, sums)
     assert kept[i] == (side < 0)
     d = nonparametric(data, config)
     assert d.tau_hat == pytest.approx(tau, rel=1e-12)

@@ -348,10 +348,12 @@ def test_symmetric_sums_match_full_matrix_products(monkeypatch, q, p, n, h):
     Z, V = _sums_case(rng_for(40, q, p, n), n, p)
     c = cfg(q=q, p=p, h=h)
     K = weights_matrix(Z, c)
-    got = weights_matrix(Z, c, rhs=V)
-    assert got.shape == (n, 5)
-    # rounding of a reordered sum is bounded by the sum of the magnitudes
-    assert (np.abs(got - K @ V) <= 1e-13 * (np.abs(K) @ np.abs(V))).all()
+    # the symmetric pass itself, and the path weights_matrix picks (the
+    # window sums for p = 1 and order 2)
+    for got in (kernels._symmetric_sums(Z, np.ascontiguousarray(Z.T), c, V), weights_matrix(Z, c, rhs=V)):
+        assert got.shape == (n, 5)
+        # rounding of a reordered sum is bounded by the sum of the magnitudes
+        assert (np.abs(got - K @ V) <= 1e-13 * (np.abs(K) @ np.abs(V))).all()
 
 
 @pytest.mark.parametrize("q", [2, 4, 6])
@@ -395,3 +397,71 @@ def test_symmetric_sums_allocate_no_n_by_n_array():
     # the result, the panel's contribution to later rows, three buffers
     assert peak <= 2 * sums.nbytes + 3 * kernels._BLOCK_BYTES + 2**18
     assert peak < n * n * 8 / 16
+
+
+# ---------------------------------------------------------------------------
+# kernel sums for p = 1 and order 2: windows of the sorted z
+# ---------------------------------------------------------------------------
+
+
+def _symmetric_reference(z, c, V):
+    Z = np.asarray(z, dtype=float)[:, None]
+    return kernels._symmetric_sums(Z, np.ascontiguousarray(Z.T), c, V)
+
+
+_grid_z = st.lists(st.integers(-100, 100), min_size=1, max_size=40)  # duplicates, pairs h apart
+_constant_z = st.tuples(st.integers(-100, 100), st.integers(1, 40)).map(lambda t: [t[0]] * t[1])
+_float_z = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    z=st.one_of(_grid_z, _constant_z, _float_z, st.lists(st.integers(-3, 3), min_size=1, max_size=2)),
+    h=st.sampled_from([1.0, 0.5, 2.0, 0.7, 13.0, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_sums_match_the_symmetric_pass(z, h, seed):
+    # integer z at h = 1, 0.5 and 2 puts pairs exactly h apart, where the
+    # weight is 0; |z| / h reaches 100 at h = 1 and 200 at h = 0.5
+    z = np.array(z, dtype=float)
+    n = z.size
+    rng = np.random.default_rng(seed)
+    # entries of magnitude 1 to 2, so every point's own weight bounds the
+    # magnitude sum from below
+    V = np.c_[np.ones(n), rng.uniform(1.0, 2.0, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))]
+    c = cfg(q=2, p=1, h=h)
+    got = weights_matrix(z, c, rhs=V)
+    want = _symmetric_reference(z, c, V)
+    assert got.shape == (n, 4)
+    assert (np.abs(got - want) <= 1e-13 * _symmetric_reference(z, c, np.abs(V))).all()
+
+
+def test_window_sums_evaluate_no_kernel_block(monkeypatch):
+    calls = []
+    fill = kernels._fill_block
+    monkeypatch.setattr(kernels, "_fill_block", lambda *a: calls.append(a[3]) or fill(*a))
+    z, V = _sums_case(rng_for(49), 200, 1)
+    weights_matrix(z, cfg(q=2, p=1, h=0.8), rhs=V)
+    assert calls == []
+    # every other config, h = inf included, still takes the symmetric pass
+    for c in (cfg(q=4, p=1, h=0.8), cfg(q=2, p=1, h=math.inf), cfg(q=2, p=2, h=0.8)):
+        weights_matrix(np.c_[z, z][:, : c.p], c, rhs=V)
+        assert calls[-1] == c
+
+
+def test_window_sums_memory_is_linear_in_n():
+    n = 50_000
+    rng = rng_for(50)
+    z = rng.standard_normal(n)
+    V = np.c_[np.ones(n), rng.standard_normal((n, 4))]
+    c = cfg(q=2, p=1, h=1.5 * n ** (-1 / 6.5))  # the rule-of-thumb bandwidth
+    tracemalloc.start()
+    try:
+        sums = weights_matrix(z, c, rhs=V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each point sits in about three window segments, each holding three
+    # moments of the k columns, and the compensated prefix needs two more
+    # arrays of that size: 30 n k doubles measured
+    assert peak <= 36 * sums.nbytes
