@@ -3,7 +3,7 @@
 Library layout:
   graphon    -- graphon specs, random-graph sampling, quadrature oracles
   trial      -- datasets, outcome models, treatments, exposures, ingestion
-  kernels    -- higher-order Epanechnikov kernels and local smoothing
+  kernels    -- higher-order Epanechnikov kernels and the estimator's kernel sums
   estimators -- point estimators (difference-in-means, adjusted, trimmed kernel)
   variance   -- spectral variance estimation and confidence intervals
   harness    -- scenario registry, Monte Carlo driver, oracles, reports
@@ -11,20 +11,19 @@ Library layout:
 Import policy: `import netate` loads scipy.sparse (every adjacency) and
 scipy.special (`ndtri`, the interval quantile; statistics.NormalDist differs
 from it in the last bit, at 0.975 among others, and pool children would
-import it again on every call).  Three scipy modules load on first use:
+import it again on every call).  Two scipy modules load on first use:
 scipy.integrate, and with it scipy.optimize and scipy.linalg, for the
 quadrature oracles (graphon_b, graphon_degree_profile, kernel_moment, the
 rank1: normalisation); scipy.sparse.linalg for the Lanczos path of
-leading_eigenpairs; scipy.stats.qmc for probe_bounds.  A replicate needs
-none of the oracles, so a fresh `import netate` plus get_scenario takes
-0.56 s and 55 MB resident (medians of 11 starts, 2-core Xeon).
+leading_eigenpairs.  scipy.stats is never loaded.  A replicate needs none
+of the oracles, so a fresh `import netate` plus get_scenario takes 0.56 s
+and 55 MB resident (medians of 11 starts, 2-core Xeon).
 """
 
 from ._errors import (
     AllTrimmedError,
     EdgeListParseError,
     EmptyGroupError,
-    EmptyWindowError,
     InvalidAdjustmentError,
     InvalidVarianceError,
     IsolatedVertexError,
@@ -42,7 +41,6 @@ from .estimators import (
     function_adjusted,
     linear_adjusted,
     nonparametric,
-    rule_of_thumb,
 )
 from .graphon import (
     GraphonSpec,
@@ -67,12 +65,8 @@ from .harness import (
 )
 from .kernels import (
     KernelConfig,
-    density_estimate,
-    group_density_estimates,
-    kernel_eval,
     kernel_moment,
     kernel_order_for_dimension,
-    local_constant,
 )
 from .trial import (
     CovariateDraw,

@@ -30,10 +30,6 @@ class SingularDesignError(NetateError):
         super().__init__(f"{message} (reciprocal condition number {rcond:.3e})")
 
 
-class EmptyWindowError(NetateError):
-    """No kernel mass in the requested group at the query point."""
-
-
 class AllTrimmedError(NetateError):
     """Every query point failed the trimming conditions; estimate undefined."""
 

@@ -160,7 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate the ATE from a dataset CSV")
     est.add_argument("--data", required=True, help="CSV with header y,w,z1,...,zp")
     est.add_argument("--pi", type=float, required=True, help="design treatment probability")
-    est.add_argument("--edges", help="edge-list CSV 'i,j[,count]'")
+    est.add_argument(
+        "--edges",
+        help="edge-list CSV 'i,j[,count]' of nonnegative integer vertex ids; the ids are "
+        "relabelled 0..n-1 in increasing order, so data row k is the vertex with the k-th "
+        "smallest id (among those kept by --drop-isolated)",
+    )
     est.add_argument("--min-count", type=int, default=1)
     est.add_argument("--drop-isolated", action="store_true")
     est.add_argument("--method", choices=tuple(_VARIANCES), default="linear")

@@ -30,7 +30,6 @@ __all__ = [
     "linear_adjusted",
     "fixed_adjusted",
     "function_adjusted",
-    "rule_of_thumb",
     "nonparametric",
     "RCOND_THRESHOLD",
     "TRIM_FACTOR",
@@ -154,12 +153,17 @@ def _np_tuning(
     h_band: float | None = None,
     b_trim: float | None = None,
 ) -> tuple[int, float, float, np.ndarray | None]:
-    """rule_of_thumb plus the kernel sums K @ rhs when they were computed.
+    """Kernel order, bandwidth and trim level from the plug-in rule, and the sums K @ rhs.
+
+    q follows the dimension map; the bandwidth is (1 + p/2) n^(-1/a1) with
+    a1 = p/2 + 3q; the trim level is C2 n^(-1/a2) with
+    a2 = (3p + 18q)/(q - p/2) and C2 the alpha-quantile of the density
+    estimates at the sample points.  Either tuning value can be overridden;
+    the sums are None when b_trim is given, since nothing needed them.
 
     rhs is (n, k) with a first column of ones, so the sums' column 0 is the
     unscaled density estimate that the trim level needs.  The sums come
-    from one symmetric pass of weights_matrix in O(n k + _BLOCK_BYTES)
-    memory; no (n, n) array is made.
+    from weights_matrix, which makes no (n, n) array.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -187,25 +191,6 @@ def _np_tuning(
     return q, h, c2 * float(n) ** (-1.0 / a2), sums
 
 
-def rule_of_thumb(
-    n: int,
-    p: int,
-    alpha: float,
-    Z: np.ndarray,
-    h_band: float | None = None,
-    b_trim: float | None = None,
-) -> tuple[int, float, float]:
-    """Kernel order, bandwidth, and trim threshold from the plug-in rule.
-
-    q follows the dimension map; the bandwidth is (1 + p/2) n^(-1/a1) with
-    a1 = p/2 + 3q; the trim level is C2 n^(-1/a2) with
-    a2 = (3p + 18q)/(q - p/2) and C2 the alpha-quantile of the density
-    estimates at the sample points.  Either tuning value can be overridden.
-    """
-    q, h, b, _ = _np_tuning(n, p, alpha, Z, np.ones((n, 1)), h_band=h_band, b_trim=b_trim)
-    return q, h, b
-
-
 def nonparametric(
     data: TrialData, config: KernelConfig, sums: np.ndarray | None = None
 ) -> EstimateResult:
@@ -221,9 +206,9 @@ def nonparametric(
     and den0, and the numerators num1 and num0.  den0 is a sum of its own,
     not the density minus den1: with the signed higher-order kernels that
     difference cancels where den0 is near zero, which is where the
-    trimming tests read it.  `sums` may carry K @ V from _np_tuning's pass;
-    otherwise one symmetric pass of weights_matrix computes it, in
-    O(n * 5 + _BLOCK_BYTES) memory.  Either way no (n, n) array is made.
+    trimming tests read it.  `sums` may carry K @ V from _np_tuning;
+    otherwise weights_matrix computes it.  Either way no (n, n) array is
+    made.
     """
     treated, control = _groups(data)
     if config.p != data.p:

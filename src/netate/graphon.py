@@ -39,9 +39,6 @@ __all__ = [
     "sample_graph",
     "graphon_b",
     "graphon_degree_profile",
-    "probe_symmetry",
-    "probe_bounds",
-    "validate_rank_form",
 ]
 
 
@@ -59,9 +56,8 @@ class GraphonSpec:
         Declared finite rank; a Scenario requires it and uses it as the
         spectral rank.
     lower_bound, upper_bound : float, optional
-        Declared c_l <= inf_x int h(x, y) dy and c_u >= sup h.  Checked by
-        probes, not symbolically.
-    eigenvalues, eigenfunctions : optional
+        Declared c_l <= inf_x int h(x, y) dy and c_u >= sup h; not checked.
+    eigenvalues : optional
         Present only for rank-expansion specs: h = sum_k lam_k psi_k(x) psi_k(y)
         with orthonormal psi_k.
     """
@@ -73,7 +69,6 @@ class GraphonSpec:
     upper_bound: float | None = None
     name: str = "custom"
     eigenvalues: tuple[float, ...] | None = None
-    eigenfunctions: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
     def __post_init__(self):
         if self.sparsity_exponent < 0:
@@ -258,7 +253,6 @@ def make_graphon(key: str, sparsity_exponent: float = 0.25) -> GraphonSpec:
             upper_bound=c,
             name=key,
             eigenvalues=(c,),
-            eigenfunctions=((lambda x: np.ones_like(np.asarray(x, dtype=float))),),
         )
     if key.startswith("rank1:"):
         from scipy import integrate  # deferred, like _quad
@@ -286,8 +280,7 @@ def rank_graphon(
     """Finite-rank graphon h(x, y) = sum_k lam_k psi_k(x) psi_k(y).
 
     Eigenvalues must be nonzero and ordered by decreasing absolute value;
-    eigenfunctions are expected orthonormal on [0, 1] (checked by
-    :func:`validate_rank_form`, not here).
+    eigenfunctions are expected orthonormal on [0, 1], which is not checked.
     """
     lams = tuple(float(v) for v in eigenvalues)
     psis = tuple(eigenfunctions)
@@ -310,7 +303,6 @@ def rank_graphon(
         rank_hint=len(lams),
         name=name,
         eigenvalues=lams,
-        eigenfunctions=psis,
     )
 
 
@@ -434,48 +426,6 @@ def graphon_b(spec: GraphonSpec, tol: float = 1e-8) -> float:
         return _quad(lambda x: float(spec.h(x, y)) / s(x), 0.0, 1.0, inner_tol, "ratio integral")
 
     return _quad(lambda y: g(y) ** 2, 0.0, 1.0, tol, "outer integral")
-
-
-# ---------------------------------------------------------------------------
-# Probe checks (declared invariants are verified numerically, not symbolically)
-# ---------------------------------------------------------------------------
-
-def probe_symmetry(spec: GraphonSpec, rng: np.random.Generator, probes: int = 10_000) -> float:
-    """Max |h(x,y) - h(y,x)| over random probe pairs."""
-    x = rng.random(probes)
-    y = rng.random(probes)
-    return float(np.max(np.abs(np.asarray(spec.h(x, y)) - np.asarray(spec.h(y, x)))))
-
-
-def probe_bounds(spec: GraphonSpec, n_points: int = 2**14) -> tuple[float, float]:
-    """(min row integral, max h) over a Sobol probe grid.
-
-    Compared against the declared (lower_bound, upper_bound) by callers; a
-    16384-point low-discrepancy probe stands in for symbolic verification.
-    """
-    from scipy.stats import qmc  # deferred: importing scipy.stats costs ~0.5 s
-    pairs = qmc.Sobol(d=2, scramble=False, seed=0).random(n_points)
-    pairs = np.clip(pairs, 1e-9, 1 - 1e-9)
-    sup_h = float(np.max(spec.h(pairs[:, 0], pairs[:, 1])))
-    xs = np.clip(qmc.Sobol(d=1, scramble=False, seed=0).random(256).ravel(), 1e-9, 1 - 1e-9)
-    inf_row = min(graphon_degree_profile(spec, float(x), tol=1e-9) for x in xs)
-    return inf_row, sup_h
-
-
-def validate_rank_form(spec: GraphonSpec, tol: float = 1e-6) -> None:
-    """Check orthonormality of a rank-expansion spec's eigenfunctions."""
-    if spec.eigenfunctions is None:
-        raise ValueError("spec carries no rank expansion")
-    psis = spec.eigenfunctions
-    for k, pk in enumerate(psis):
-        norm = _quad(lambda t: float(pk(t)) ** 2, 0.0, 1.0, tol * 1e-2, "eigenfunction norm")
-        if abs(norm - 1.0) > tol:
-            raise ValueError(f"eigenfunction {k} has squared norm {norm}, expected 1")
-        for l in range(k + 1, len(psis)):
-            pl = psis[l]
-            dot = _quad(lambda t: float(pk(t)) * float(pl(t)), 0.0, 1.0, tol * 1e-2, "eigenfunction dot")
-            if abs(dot) > tol:
-                raise ValueError(f"eigenfunctions {k},{l} have inner product {dot}, expected 0")
 
 
 def require_positive_degrees(network: Network) -> None:

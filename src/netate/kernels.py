@@ -1,4 +1,4 @@
-"""Higher-order Epanechnikov product kernels and local smoothing primitives.
+"""Higher-order Epanechnikov product kernels and the kernel sums of the estimator.
 
 Conventions:
   - one-dimensional kernels on |t| <= 1, zero outside:
@@ -6,11 +6,10 @@ Conventions:
       order 4:  (45/32)(1 - t^2)(1 - 7 t^2 / 3)
       order 6:  (525/256)(1 - t^2)(1 - 6 t^2 + 33 t^4 / 5)
   - the p-dimensional kernel is the coordinate product, supported on the
-    unit max-norm cube;
-  - density / regression estimates scale by 1/(n h^p) with bandwidth h.
+    unit max-norm cube.
 
-Orders 4 and 6 take negative values, so density estimates built from them
-are returned signed, exactly as the trimming indicator consumes them.
+Orders 4 and 6 take negative values, so the sums are signed, exactly as the
+trimming indicator consumes them.
 
 The estimator needs kernel sums, not kernel weights: K @ V for the five
 columns V of nonparametric.  weights_matrix(Z, config, rhs=V) picks one of
@@ -32,9 +31,7 @@ two paths from the config alone:
     buffers of about _BLOCK_BYTES each: n^2/2 kernel evaluations per
     coordinate in O(n k + _BLOCK_BYTES) memory.  It is also the tests'
     reference for the window sums.
-Neither makes an n x n array.  The (m, n) weights matrix itself is filled a
-block of rows at a time through two such buffers, so no temporary beyond the
-result is made.
+Neither makes an n x n array.
 """
 
 from __future__ import annotations
@@ -45,21 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import EmptyWindowError, UnsupportedDimensionError
+from ._errors import UnsupportedDimensionError
 
 __all__ = [
     "KernelConfig",
     "kernel_order_for_dimension",
-    "kernel_eval",
     "kernel_moment",
-    "density_estimate",
-    "group_density_estimates",
-    "local_constant",
 ]
 
 _ORDERS = (2, 4, 6)
-# bytes per scratch buffer of weights_matrix: each row block or panel is
-# about this size, so the buffers stay in L2; on a 2-core Xeon, 64-512 KiB
+# bytes per scratch buffer of the symmetric pass: each panel is about
+# this size, so the buffers stay in L2; on a 2-core Xeon, 64-512 KiB
 # timed the same within noise and 128 KiB was fastest
 _BLOCK_BYTES = 128 * 1024
 
@@ -142,14 +135,6 @@ def _kernel_1d(q: int, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def kernel_eval(config: KernelConfig, u) -> float:
-    """Product kernel at a p-vector u; zero outside the unit max-norm cube."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (config.p,):
-        raise ValueError(f"u must be a {config.p}-vector")
-    return float(np.prod(_kernel_1d(config.q, u)))
-
-
 def kernel_moment(config: KernelConfig, multi_index) -> float:
     """int u^multi_index K(u) du, one quadrature per coordinate.
 
@@ -175,14 +160,6 @@ def kernel_moment(config: KernelConfig, multi_index) -> float:
     return value
 
 
-def _query_weights(Z: np.ndarray, z, config: KernelConfig) -> np.ndarray:
-    """K((z_j - z)/h) for every sample row j."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (config.p,):
-        raise ValueError("covariate dimensions do not match the kernel config")
-    return weights_matrix(Z, config, at=z[None, :])[0]
-
-
 def _fill_block(block, Zt, at, config: KernelConfig, t, k_buf) -> None:
     """block[i, j] = K((Zt[:, j] - at[i]) / h), the p factors multiplied in coordinate order.
 
@@ -199,18 +176,15 @@ def _fill_block(block, Zt, at, config: KernelConfig, t, k_buf) -> None:
             block *= _kernel_1d(config.q, t, out=k_buf)
 
 
-def weights_matrix(Z: np.ndarray, config: KernelConfig, at=None, rhs=None) -> np.ndarray:
-    """Kernel weights around query points, or the kernel sums K @ rhs.
+def weights_matrix(Z: np.ndarray, config: KernelConfig, rhs: np.ndarray) -> np.ndarray:
+    """The kernel sums K @ rhs, K the (n, n) weights of the sample about itself.
 
-    Without `rhs`, entry (i, j) of the (m, n) result is K((z_j - at_i)/h),
-    where `at` is an (m, p) matrix of query points, Z itself by default.
-    This is the one evaluation routine: the single-point functions below
-    take their one row from it.  Rows are filled a block at a time through
-    two scratch buffers that every block reuses, so memory is the (m, n)
-    result plus O(_BLOCK_BYTES) scratch.
+    Entry (i, j) of K is K((z_j - z_i)/h) and rhs is an (n, k) matrix; the
+    result is (n, k).  Only sums are returned: the estimator reads nothing
+    else, and no (n, n) array is made.  It is named for the weights K
+    because perfbench traces it by this name, as estimators.weights_matrix,
+    for the kernel stage of a replicate.
 
-    With `rhs`, an (n, k) matrix, the result is the (n, k) matrix K @ rhs,
-    K the (n, n) weights of the sample about itself (`at` must be None).
     For p = 1, order 2 and a finite bandwidth the sums come from windows of
     the sorted z (_window_sums): O(n log n) time and O(n k) memory, as
     accurate as the symmetric pass (see the module docstring).  Every other
@@ -221,7 +195,7 @@ def weights_matrix(Z: np.ndarray, config: KernelConfig, at=None, rhs=None) -> np
     rhs[s:s+b] to the later ones.  Each entry is the one the full matrix
     holds; only the order of the sums differs.  The kernel is evaluated
     about n^2/2 times, and memory is the (n, k) result, one (n, k) buffer
-    and three of about _BLOCK_BYTES.  Neither path makes an (n, n) array.
+    and three of about _BLOCK_BYTES.
 
     An infinite bandwidth needs no branch in the symmetric pass: every
     scaled difference is then 0, so every weight is K(0)^p, and a finite sum
@@ -230,29 +204,15 @@ def weights_matrix(Z: np.ndarray, config: KernelConfig, at=None, rhs=None) -> np
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
         Z = Z[:, None]
-    if rhs is not None and at is not None:
-        raise ValueError("kernel sums are over the sample itself; pass at=None with rhs")
-    at = Z if at is None else np.asarray(at, dtype=float)
-    if Z.shape[1] != config.p or at.ndim != 2 or at.shape[1] != config.p:
+    if Z.shape[1] != config.p:
         raise ValueError("covariate dimensions do not match the kernel config")
-    m, n = at.shape[0], Z.shape[0]
-    Zt = np.ascontiguousarray(Z.T)
-    if rhs is not None:
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim != 2 or rhs.shape[0] != n:
-            raise ValueError(f"rhs must be an ({n}, k) matrix")
-        if config.p == 1 and config.q == 2 and math.isfinite(config.h_band):
-            return _window_sums(Z[:, 0], config.h_band, rhs)
-        return _symmetric_sums(Z, Zt, config, rhs)
-    out = np.empty((m, n))
-    rows = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
-    t_buf = np.empty((min(rows, m), n))
-    k_buf = np.empty_like(t_buf)
-    for start in range(0, m, rows):
-        block = out[start : start + rows]
-        b = block.shape[0]
-        _fill_block(block, Zt, at[start : start + b], config, t_buf[:b], k_buf[:b])
-    return out
+    n = Z.shape[0]
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim != 2 or rhs.shape[0] != n:
+        raise ValueError(f"rhs must be an ({n}, k) matrix")
+    if config.p == 1 and config.q == 2 and math.isfinite(config.h_band):
+        return _window_sums(Z[:, 0], config.h_band, rhs)
+    return _symmetric_sums(Z, np.ascontiguousarray(Z.T), config, rhs)
 
 
 def _symmetric_sums(Z, Zt, config: KernelConfig, rhs: np.ndarray) -> np.ndarray:
@@ -362,38 +322,3 @@ def _window_sums(z: np.ndarray, h: float, rhs: np.ndarray) -> np.ndarray:
     out = np.empty((n, k))
     out[order] = sums.T
     return out
-
-
-def density_estimate(Z: np.ndarray, z, config: KernelConfig) -> float:
-    """(1/(n h^p)) sum_j K((z_j - z)/h); signed for orders above 2."""
-    w = _query_weights(Z, z, config)
-    return float(w.sum() / (w.shape[0] * config.h_band**config.p))
-
-
-def group_density_estimates(
-    Z: np.ndarray, W: np.ndarray, z, config: KernelConfig, pi_hat: float
-) -> tuple[float, float]:
-    """Treated- and control-weighted density estimates at z."""
-    if not 0.0 < pi_hat < 1.0:
-        raise ValueError("pi_hat must lie strictly inside (0, 1)")
-    w = _query_weights(Z, z, config)
-    W = np.asarray(W, dtype=float)
-    scale = w.shape[0] * config.h_band**config.p
-    p1 = float((w * W).sum() / (scale * pi_hat))
-    p2 = float((w * (1.0 - W)).sum() / (scale * (1.0 - pi_hat)))
-    return p1, p2
-
-
-def local_constant(
-    Z: np.ndarray, Y: np.ndarray, W: np.ndarray, z, config: KernelConfig, group: str
-) -> float:
-    """Kernel-weighted group mean of Y at z (constant-fit regression)."""
-    if group not in ("treated", "control"):
-        raise ValueError("group must be 'treated' or 'control'")
-    w = _query_weights(Z, z, config)
-    W = np.asarray(W, dtype=float)
-    g = W if group == "treated" else 1.0 - W
-    den = float((w * g).sum())
-    if den == 0.0:
-        raise EmptyWindowError(f"no {group} kernel mass at the query point")
-    return float((w * g * np.asarray(Y, dtype=float)).sum() / den)

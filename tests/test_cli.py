@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -31,7 +32,6 @@ from netate import (
     load_trial_csv,
     nonparametric,
     pc_balancing_weights,
-    rule_of_thumb,
     sample_covariates,
     save_trial_csv,
     simulate_outcomes,
@@ -82,7 +82,7 @@ def _expected(data, network, method, variance):
     elif method == "linear":
         result = linear_adjusted(data)
     else:
-        q, h, b = rule_of_thumb(data.n, data.p, 0.01, data.Z)
+        q, h, b, _ = estimators_module._np_tuning(data.n, data.p, 0.01, data.Z, np.ones((data.n, 1)))
         result = nonparametric(data, KernelConfig(q=q, p=data.p, h_band=h, b_trim=b))
     if variance == "none":
         return result, None, None
@@ -169,6 +169,20 @@ def test_out_file_matches_stdout(capsys, trial_files, tmp_path):
     code, out, _ = _run(capsys, [*argv, "--out", str(out_path)])
     assert code == 0 and out == ""
     assert out_path.read_text() == printed
+
+
+@pytest.mark.parametrize("method,variance", [("linear", "spectral"), ("np", "polyseq")])
+def test_edge_ids_map_to_data_rows_by_rank(capsys, trial_files, tmp_path, method, variance):
+    # ids are relabelled in increasing order, so shifting every id keeps each row's vertex
+    data_path, edges_path = trial_files
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text("".join(
+        f"{int(i) + 1000},{int(j) + 1000}\n" for i, j in (line.split(",") for line in edges_path.read_text().split())
+    ))
+    argv = ["--data", str(data_path), "--pi", str(PI), "--rank", str(RANK), "--method", method,
+            "--variance", variance]
+    outputs = [_run(capsys, [*argv, "--edges", str(path)]) for path in (edges_path, shifted)]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
 
 def test_np_builds_the_kernel_matrix_once(capsys, trial_files, monkeypatch):
@@ -331,8 +345,15 @@ def modules_after_import():
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg",
                                     "scipy.sparse.linalg"])
 def test_import_leaves_deferred_scipy_modules_unloaded(modules_after_import, module):
-    # each loads where it runs (the oracles, Lanczos, probe_bounds); with all five deferred a
-    # fresh `import netate` plus get_scenario took 0.56 s and 55 MB resident, against 0.81 s
-    # and 80 MB with scipy.integrate and scipy.sparse.linalg at the top (medians of 11 starts)
+    # each loads where it runs (the oracles, Lanczos), and nothing loads scipy.stats; with
+    # these deferred a fresh `import netate` plus get_scenario took 0.56 s and 55 MB resident,
+    # against 0.81 s and 80 MB with scipy.integrate and scipy.sparse.linalg at the top
+    # (medians of 11 starts)
     assert "scipy.special" in modules_after_import  # ndtri stays eager
     assert module not in modules_after_import
+
+
+@pytest.mark.parametrize("module", ["graphon", "trial", "kernels", "estimators", "variance", "harness"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"netate.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -20,14 +20,12 @@ from netate import (
     get_scenario,
     linear_adjusted,
     nonparametric,
-    rule_of_thumb,
     run_scenario,
 )
 from netate.estimators import RCOND_THRESHOLD, TRIM_FACTOR, _group_ols, _np_columns, _np_tuning
 from netate import kernels
-from netate.kernels import weights_matrix
 
-from conftest import WORKERS, rng_for
+from conftest import WORKERS, rng_for, whole_matrix_weights
 
 
 def make_data(n=200, p=2, pi=0.5, seed=0, beta1=None, beta0=None, noise=0.0):
@@ -265,6 +263,11 @@ def test_function_with_true_conditional_means_beats_dim():
 # rule of thumb
 # ---------------------------------------------------------------------------
 
+def rule_of_thumb(n, p, alpha, Z, **overrides):
+    """The plug-in (q, h, b_trim) of _np_tuning, whose density column needs only ones."""
+    return _np_tuning(n, p, alpha, Z, np.ones((n, 1)), **overrides)[:3]
+
+
 def test_rule_of_thumb_bandwidths_match_published_column():
     rng = rng_for(33)
     published = {1: 0.518, 2: 0.745, 3: 0.995, 4: 1.831, 5: 2.173, 6: 2.523,
@@ -284,7 +287,7 @@ def test_rule_of_thumb_formula_exact():
     assert h == (1 + 0.5 * 5) * 500 ** (-1 / a1)
     # the trim level is the alpha-quantile of the density estimates times n^(-1/a2)
     cfg = KernelConfig(q=4, p=5, h_band=h, b_trim=b)
-    p_hat = weights_matrix(Z, cfg).sum(axis=1) / (500 * h**5)
+    p_hat = whole_matrix_weights(Z, cfg).sum(axis=1) / (500 * h**5)
     a2 = (3 * 5 + 18 * 4) / (4 - 0.5 * 5)
     assert b == pytest.approx(np.quantile(p_hat, 0.05) * 500 ** (-1 / a2), rel=1e-12)
 
@@ -406,7 +409,7 @@ def _dense_reference(data, config, sums=None):
     """
     w = data.W.astype(float)
     if sums is None:
-        kmat = weights_matrix(data.Z, config)
+        kmat = whole_matrix_weights(data.Z, config)
         sums = np.c_[kmat.sum(axis=1), kmat @ w, kmat @ (1.0 - w), kmat @ (data.Y * w),
                      kmat @ (data.Y * (1.0 - w))]
     total, den1, den0, num1, num0 = sums.T

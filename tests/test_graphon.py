@@ -20,7 +20,6 @@ from netate import (
     sample_latents,
 )
 from netate import graphon
-from netate.graphon import probe_bounds, probe_symmetry, validate_rank_form
 
 from conftest import rng_for
 
@@ -239,7 +238,9 @@ def test_registry_keys():
 
 def test_rank1_expression_is_normalized():
     spec = make_graphon("rank1:1+x")
-    validate_rank_form(spec)  # eigenfunction normalized internally
+    # the eigenvalue is the squared norm int (1 + x)^2 = 7/3, so the
+    # eigenfunction (1 + x) / sqrt(7/3) has norm 1
+    assert spec.eigenvalues == pytest.approx((7.0 / 3.0,), rel=1e-12)
     # h itself is unchanged: (1+x)(1+y)
     assert float(spec.h(0.2, 0.7)) == pytest.approx(1.2 * 1.7, abs=1e-10)
 
@@ -265,16 +266,14 @@ def test_rank_graphon_rejects_unordered_eigenvalues():
         rank_graphon([1.0, 2.0], [lambda x: np.ones_like(x)] * 2)
 
 
-def test_validate_rank_form_flags_non_orthonormal():
-    spec = rank_graphon([1.0], [lambda x: 1.0 + np.asarray(x)])
-    with pytest.raises(ValueError):
-        validate_rank_form(spec)
-
-
 def test_probe_symmetry_and_bounds():
+    # the declared c_l and c_u of the paper graphon hold on a probe grid
     spec = make_graphon("paper-sec3")
-    assert probe_symmetry(spec, rng_for(16)) < 1e-12
-    inf_row, sup_h = probe_bounds(spec, n_points=2**12)
+    x, y = rng_for(16).random((2, 10_000))
+    assert np.max(np.abs(spec.h(x, y) - spec.h(y, x))) < 1e-12
+    grid = np.linspace(1e-9, 1 - 1e-9, 65)
+    inf_row = min(graphon_degree_profile(spec, float(g), tol=1e-9) for g in grid)
+    sup_h = float(np.max(spec.h(*np.meshgrid(grid, grid))))
     assert inf_row >= spec.lower_bound - 1e-6
     assert sup_h <= spec.upper_bound + 1e-9
 

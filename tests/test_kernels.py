@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,24 +8,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netate import (
-    EmptyWindowError,
     KernelConfig,
+    TrialData,
     UnsupportedDimensionError,
-    density_estimate,
-    group_density_estimates,
-    kernel_eval,
     kernel_moment,
     kernel_order_for_dimension,
-    local_constant,
 )
 from netate import kernels
+from netate.estimators import _np_columns
 from netate.kernels import weights_matrix
 
-from conftest import rng_for
+from conftest import rng_for, whole_matrix_weights
 
 
 def cfg(q=2, p=1, h=1.0, b=1e-8, **kw):
     return KernelConfig(q=q, p=p, h_band=h, b_trim=b, **kw)
+
+
+def kernel_of(Z, config):
+    """The weights K((z_j - z_i)/h) of the sample about itself, as the kernel sums K @ I."""
+    return weights_matrix(np.asarray(Z, dtype=float), config, rhs=np.eye(len(Z)))
+
+
+def at_samples(Z, w, y, config):
+    """What nonparametric reads at every sample point, from its five kernel sums.
+
+    The density, the group densities p1 and p2 (pi_hat = mean(w)), and the
+    local-constant fits of the treated and control outcomes.
+    """
+    data = TrialData(Y=np.asarray(y, dtype=float), W=np.asarray(w), Z=np.asarray(Z, dtype=float), pi=0.5)
+    total, den1, den0, num1, num0 = weights_matrix(data.Z, config, rhs=_np_columns(data)).T
+    scale = data.n * config.h_band**config.p
+    pi_hat = data.W.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return SimpleNamespace(
+            density=total / scale,
+            p1=den1 / (scale * pi_hat),
+            p2=den0 / (scale * (1.0 - pi_hat)),
+            treated=num1 / den1,
+            control=num0 / den0,
+        )
+
+
+def density(Z, config):
+    return at_samples(Z, np.ones(len(Z)), np.zeros(len(Z)), config).density
 
 
 # ---------------------------------------------------------------------------
@@ -32,23 +59,23 @@ def cfg(q=2, p=1, h=1.0, b=1e-8, **kw):
 # ---------------------------------------------------------------------------
 
 def test_kernel_values_at_origin():
-    assert kernel_eval(cfg(q=2), [0.0]) == pytest.approx(0.75)
-    assert kernel_eval(cfg(q=4), [0.0]) == pytest.approx(45.0 / 32.0)
-    assert kernel_eval(cfg(q=6), [0.0]) == pytest.approx(525.0 / 256.0)
+    for q, k0 in ((2, 0.75), (4, 45.0 / 32.0), (6, 525.0 / 256.0)):
+        assert kernel_of([0.0], cfg(q=q))[0, 0] == pytest.approx(k0)
 
 
 def test_kernel_compact_support():
+    # weights on the support's edge (|t| = 1) and beyond it are 0
     for q in (2, 4, 6):
-        assert kernel_eval(cfg(q=q), [1.0]) == 0.0
-        assert kernel_eval(cfg(q=q), [-1.2]) == 0.0
-        assert kernel_eval(cfg(q=q, p=2), [0.0, 1.5]) == 0.0
+        assert (kernel_of([0.0, 1.0], cfg(q=q))[0, 1:] == 0.0).all()
+        assert (kernel_of([0.0, -1.2], cfg(q=q))[0, 1:] == 0.0).all()
+        assert kernel_of([[0.0, 0.0], [0.0, 1.5]], cfg(q=q, p=2))[0, 1] == 0.0
 
 
 def test_kernel_product_structure():
     c = cfg(q=4, p=3)
     u = np.array([0.2, -0.5, 0.8])
-    single = [kernel_eval(cfg(q=4), [v]) for v in u]
-    assert kernel_eval(c, u) == pytest.approx(np.prod(single), rel=1e-12)
+    single = [kernel_of([0.0, v], cfg(q=4))[0, 1] for v in u]
+    assert kernel_of(np.stack([np.zeros(3), u]), c)[0, 1] == pytest.approx(np.prod(single), rel=1e-12)
 
 
 def test_kernel_order_map():
@@ -114,178 +141,93 @@ def test_kernel_moment_multi_index():
 
 
 # ---------------------------------------------------------------------------
-# density estimates
+# density estimates at the sample points
 # ---------------------------------------------------------------------------
 
 def test_density_single_point():
     c = cfg(q=2, h=0.5)
-    assert density_estimate(np.array([[0.3]]), [0.3], c) == pytest.approx(0.75 / 0.5)
+    assert density([0.3], c)[0] == pytest.approx(0.75 / 0.5)
 
 
 def test_density_outside_all_windows():
+    # each point lies outside every other point's window, so only its own
+    # weight K(0) counts
     c = cfg(q=2, h=0.5)
-    assert density_estimate(np.array([[0.0], [1.0]]), [5.0], c) == 0.0
+    assert density([0.0, 1.0, 5.0], c) == pytest.approx(np.full(3, 0.75 / (3 * 0.5)))
 
 
 def test_density_hand_case():
-    # points {0, 0.5, 2}, query 0, h=1: (K(0) + K(0.5) + 0)/3
+    # points {0, 0.5, 2}, h=1, at 0: (K(0) + K(0.5) + 0)/3
     c = cfg(q=2, h=1.0)
-    val = density_estimate(np.array([[0.0], [0.5], [2.0]]), [0.0], c)
-    assert val == pytest.approx((0.75 + 0.75 * 0.75) / 3)
+    assert density([0.0, 0.5, 2.0], c)[0] == pytest.approx((0.75 + 0.75 * 0.75) / 3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 9999), n=st.integers(1, 40))
 def test_density_second_order_nonnegative(seed, n):
-    rng = rng_for(20, seed)
-    Z = rng.standard_normal((n, 1))
+    # order-2 weights are nonnegative, so each point's sum is at least its own K(0)
+    Z = rng_for(20, seed).standard_normal(n)
     c = cfg(q=2, h=0.7)
-    assert density_estimate(Z, rng.standard_normal(1), c) >= 0.0
-
-
-def test_group_density_preconditions():
-    c = cfg()
-    with pytest.raises(ValueError):
-        group_density_estimates(np.zeros((3, 1)), np.ones(3), [0.0], c, pi_hat=1.0)
+    assert (density(Z, c) * n * 0.7 >= 0.75 * (1 - 1e-13)).all()
 
 
 def test_group_density_symmetry():
     c = cfg(q=2, h=1.0)
-    Z = np.zeros((4, 1))
-    w = np.array([1, 0, 1, 0])
-    p1, p2 = group_density_estimates(Z, w, [0.0], c, pi_hat=0.5)
-    assert p1 == pytest.approx(p2)
+    fits = at_samples(np.zeros(4), [1, 0, 1, 0], np.zeros(4), c)
+    assert fits.p1 == pytest.approx(fits.p2)
 
 
 def test_group_density_hand_case():
+    # points {0, 0.5, 2} with w = (1, 0, 1), at 0: pi_hat = 2/3
     c = cfg(q=2, h=1.0)
-    Z = np.array([[0.0], [0.5], [2.0]])
-    w = np.array([1, 0, 1])
-    p1, p2 = group_density_estimates(Z, w, [0.0], c, pi_hat=2.0 / 3.0)
-    assert p1 == pytest.approx(0.75 / (3 * (2 / 3)))
-    assert p2 == pytest.approx(0.75 * 0.75 / (3 * (1 / 3)))
+    fits = at_samples([0.0, 0.5, 2.0], [1, 0, 1], np.zeros(3), c)
+    assert fits.p1[0] == pytest.approx(0.75 / (3 * (2 / 3)))
+    assert fits.p2[0] == pytest.approx(0.75 * 0.75 / (3 * (1 / 3)))
 
 
 # ---------------------------------------------------------------------------
-# local constant regression
+# local-constant fits at the sample points
 # ---------------------------------------------------------------------------
 
 def test_local_constant_constant_outcome():
     c = cfg(q=2, h=1.0)
-    Z = np.array([[0.0], [0.2], [-0.1]])
-    y = np.full(3, 4.2)
-    assert local_constant(Z, y, np.ones(3), [0.0], c, "treated") == pytest.approx(4.2)
+    fits = at_samples([0.0, 0.2, -0.1], np.ones(3), np.full(3, 4.2), c)
+    assert fits.treated == pytest.approx(np.full(3, 4.2))
 
 
 def test_local_constant_single_point():
     c = cfg(q=2, h=0.5)
-    Z = np.array([[0.0], [3.0]])
-    y = np.array([1.7, 9.9])
-    assert local_constant(Z, y, np.ones(2), [0.0], c, "treated") == pytest.approx(1.7)
+    fits = at_samples([0.0, 3.0], np.ones(2), [1.7, 9.9], c)
+    assert fits.treated == pytest.approx([1.7, 9.9])
 
 
 def test_local_constant_equal_weights():
+    # the control point at 0 sees both treated points with weight K(0.5)
     c = cfg(q=2, h=1.0)
-    Z = np.array([[0.5], [-0.5]])
-    y = np.array([1.0, 3.0])
-    assert local_constant(Z, y, np.ones(2), [0.0], c, "treated") == pytest.approx(2.0)
-
-
-def test_local_constant_empty_window():
-    c = cfg(q=2, h=0.5)
-    Z = np.array([[0.0], [0.1]])
-    with pytest.raises(EmptyWindowError):
-        local_constant(Z, np.ones(2), np.array([1, 1]), [0.0], c, "control")
+    fits = at_samples([0.5, -0.5, 0.0], [1, 1, 0], [1.0, 3.0, 100.0], c)
+    assert fits.treated[2] == pytest.approx(2.0)
 
 
 def test_local_constant_ignores_out_of_window_shifts():
     c = cfg(q=2, h=0.6)
     rng = rng_for(21)
-    Z = np.concatenate([rng.uniform(-0.3, 0.3, 8), rng.uniform(4, 5, 8)])[:, None]
+    Z = np.concatenate([rng.uniform(-0.3, 0.3, 8), rng.uniform(4, 5, 8)])
     y = rng.standard_normal(16)
     w = np.ones(16)
-    base = local_constant(Z, y, w, [0.0], c, "treated")
+    base = at_samples(Z, w, y, c).treated
     y_shifted = y.copy()
     y_shifted[8:] += 100.0
-    assert local_constant(Z, y_shifted, w, [0.0], c, "treated") == base
+    assert np.array_equal(at_samples(Z, w, y_shifted, c).treated[:8], base[:8])
 
 
 # ---------------------------------------------------------------------------
-# batched weights
+# the kernel fill against the dense reference
 # ---------------------------------------------------------------------------
-
-def test_weights_matrix_matches_scalar_queries():
-    rng = rng_for(22)
-    Z = rng.standard_normal((25, 4))
-    c = cfg(q=4, p=4, h=1.3)
-    mat = weights_matrix(Z, c)
-    for i in (0, 7, 24):
-        expected = density_estimate(Z, Z[i], c)
-        assert mat[i].sum() / (25 * 1.3**4) == pytest.approx(expected, rel=1e-12)
-
 
 def test_infinite_bandwidth_weights_are_constant():
     Z = rng_for(24).standard_normal((10, 2))
     c = cfg(q=2, p=2, h=math.inf)
-    mat = weights_matrix(Z, c)
-    assert (mat == 0.75**2).all()
-
-
-@pytest.mark.parametrize("q, p", [(4, 4), (4, 7), (6, 8), (6, 10)])
-def test_infinite_bandwidth_higher_orders(q, p):
-    # at h = inf every scaled difference is 0 and every sum is divided by inf
-    rng = rng_for(25, q, p)
-    Z = rng.standard_normal((12, p))
-    w = np.r_[1, 0, (rng.random(10) < 0.5)].astype(float)
-    c = cfg(q=q, p=p, h=math.inf)
-    k0 = kernel_eval(c, np.zeros(p))
-    assert (weights_matrix(Z, c) == k0).all()
-    z = rng.standard_normal(p)
-    assert density_estimate(Z, z, c) == 0.0
-    assert group_density_estimates(Z, w, z, c, pi_hat=0.5) == (0.0, 0.0)
-
-
-@pytest.mark.parametrize("q, p, h", [(2, 1, 0.4), (2, 3, 1.1), (4, 5, 1.7), (6, 9, 2.5)])
-def test_single_point_queries_equal_matrix_rows_exactly(q, p, h):
-    rng = rng_for(26, q, p)
-    n = 30
-    Z = rng.standard_normal((n, p))
-    y = rng.standard_normal(n)
-    w = np.r_[1, 0, (rng.random(n - 2) < 0.5)].astype(float)
-    c = cfg(q=q, p=p, h=h)
-    mat = weights_matrix(Z, c)
-    scale = n * h**p
-    for i in (0, 11, n - 1):
-        row = mat[i]
-        assert density_estimate(Z, Z[i], c) == float(row.sum() / scale)
-        p1, p2 = group_density_estimates(Z, w, Z[i], c, pi_hat=0.4)
-        assert p1 == float((row * w).sum() / (scale * 0.4))
-        assert p2 == float((row * (1.0 - w)).sum() / (scale * 0.6))
-        assert local_constant(Z, y, w, Z[i], c, "treated") == float(
-            (row * w * y).sum() / float((row * w).sum())
-        )
-
-
-def _whole_matrix_weights(Z, config, at=None):
-    """Reference: each coordinate's 1-D factor over all (m, n) pairs at once."""
-    at = Z if at is None else at
-    out = np.ones((at.shape[0], Z.shape[0]))
-    for k in range(config.p):
-        t = (Z[None, :, k] - at[:, k, None]) / config.h_band
-        t2 = t * t
-        u = 1.0 - t2
-        if config.q == 2:
-            factor = 0.75 * np.maximum(u, 0.0)
-        elif config.q == 4:
-            factor = (45.0 / 32.0) * u
-            factor *= 1.0 - (7.0 / 3.0) * t2
-            factor *= u > 0.0
-        else:
-            factor = (525.0 / 256.0) * u
-            factor *= 1.0 - 6.0 * t2 + (33.0 / 5.0) * t2 * t2
-            factor *= u > 0.0
-        out *= factor
-    return out
+    assert (kernel_of(Z, c) == 0.75**2).all()
 
 
 BLOCK = 4
@@ -294,7 +236,7 @@ BLOCK = 4
 @pytest.mark.parametrize("h", [1.0, 0.7, math.inf])
 @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1])
 @pytest.mark.parametrize("q", [2, 4, 6])
-def test_blocked_weights_equal_whole_matrix_bit_for_bit(monkeypatch, q, m, h):
+def test_blocked_weights_equal_whole_matrix_bit_for_bit(q, m, h):
     # integer coordinates at h = 1 put pairs exactly on the support boundary,
     # where orders 4 and 6 give signed zeros
     rng = rng_for(27, q, m)
@@ -302,25 +244,20 @@ def test_blocked_weights_equal_whole_matrix_bit_for_bit(monkeypatch, q, m, h):
     Z = np.c_[rng.integers(-2, 3, (9, 2)), rng.standard_normal(9)].astype(float)
     queries = np.c_[rng.integers(-2, 3, (m, 2)), rng.standard_normal(m)].astype(float)
     c = cfg(q=q, p=p, h=h)
-    for sample, at in ((Z[:m], None), (Z, queries)):
-        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * sample.shape[0] * BLOCK)
-        got = weights_matrix(sample, c, at=at)
-        want = _whole_matrix_weights(sample, c, at=at)
-        assert got.shape == want.shape == (m, sample.shape[0])
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def test_weights_matrix_memory_is_the_result_plus_block_scratch():
-    Z = rng_for(28).standard_normal((2000, 5))
-    c = cfg(q=4, p=5, h=1.5)
-    tracemalloc.start()
-    try:
-        mat = weights_matrix(Z, c)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * mat.nbytes + 2 * 2**20
+    # the symmetric pass's panels (rows s..s+b over columns s..n-1), and rows
+    # about other points over every column, through scratch that every
+    # block reuses
+    for sample, at, panel in ((Z[:m], Z[:m], True), (Z, queries, False)):
+        want = whole_matrix_weights(sample, c, at=at)
+        Zt = np.ascontiguousarray(sample.T)
+        bufs = np.empty((3, BLOCK * sample.shape[0]))
+        for s in range(0, m, BLOCK):
+            first = s if panel else 0
+            b, w = min(BLOCK, m - s), sample.shape[0] - first
+            block, t, k_buf = (buf[: b * w].reshape(b, w) for buf in bufs)
+            kernels._fill_block(block, Zt[:, first:], at[s : s + b], c, t, k_buf)
+            assert np.array_equal(block, want[s : s + b, first:])
+            assert np.array_equal(np.signbit(block), np.signbit(want[s : s + b, first:]))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +284,7 @@ def test_symmetric_sums_match_full_matrix_products(monkeypatch, q, p, n, h):
     monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * PANEL)
     Z, V = _sums_case(rng_for(40, q, p, n), n, p)
     c = cfg(q=q, p=p, h=h)
-    K = weights_matrix(Z, c)
+    K = whole_matrix_weights(Z, c)
     # the symmetric pass itself, and the path weights_matrix picks (the
     # window sums for p = 1 and order 2)
     for got in (kernels._symmetric_sums(Z, np.ascontiguousarray(Z.T), c, V), weights_matrix(Z, c, rhs=V)):
@@ -359,25 +296,35 @@ def test_symmetric_sums_match_full_matrix_products(monkeypatch, q, p, n, h):
 @pytest.mark.parametrize("q", [2, 4, 6])
 def test_weights_of_the_sample_are_symmetric_bit_for_bit(q):
     Z, _ = _sums_case(rng_for(41, q), 40, 3)
-    K = weights_matrix(Z, cfg(q=q, p=3, h=1.0))
+    K = whole_matrix_weights(Z, cfg(q=q, p=3, h=1.0))
     assert np.array_equal(K, K.T)
     assert np.array_equal(np.signbit(K), np.signbit(K.T))
 
 
-def test_symmetric_sums_infinite_bandwidth():
-    # every weight is K(0)^p, so each row is K(0)^p times the column sums
-    Z, V = _sums_case(rng_for(43), 30, 3)
-    c = cfg(q=4, p=3, h=math.inf)
+@pytest.mark.parametrize("q, p", [(4, 3), (4, 4), (4, 7), (6, 8), (6, 10)])
+def test_symmetric_sums_infinite_bandwidth(q, p):
+    # every weight is K(0)^p, so each row is K(0)^p times the column sums,
+    # and every sum over n h^p is 0
+    n = 30
+    Z, V = _sums_case(rng_for(43, q, p), n, p)
+    c = cfg(q=q, p=p, h=math.inf)
+    k0 = math.prod([{4: 45.0 / 32.0, 6: 525.0 / 256.0}[q]] * p)  # K_1 * ... * K_p in order
+    assert (kernel_of(Z, c) == k0).all()
     got = weights_matrix(Z, c, rhs=V)
-    want = kernel_eval(c, np.zeros(3)) * V.sum(axis=0)
+    want = k0 * V.sum(axis=0)
     assert got == pytest.approx(np.broadcast_to(want, got.shape), rel=1e-13, abs=1e-13)
+    assert (got / (n * c.h_band**p) == 0.0).all()
 
 
 def test_symmetric_sums_reject_queries_and_bad_shapes():
+    # sums only: a call without rhs, asking for the weights themselves, is
+    # rejected, as are covariates of another dimension
     Z, V = _sums_case(rng_for(44), 10, 2)
     c = cfg(q=2, p=2)
-    with pytest.raises(ValueError, match="at=None"):
-        weights_matrix(Z, c, at=Z[:3], rhs=V)
+    with pytest.raises(TypeError):
+        weights_matrix(Z, c)
+    with pytest.raises(ValueError, match="covariate dimensions"):
+        weights_matrix(Z[:, :1], c, rhs=V)
     with pytest.raises(ValueError, match=r"rhs must be an \(10, k\) matrix"):
         weights_matrix(Z, c, rhs=V[:9])
     with pytest.raises(ValueError, match=r"rhs must be an \(10, k\) matrix"):
