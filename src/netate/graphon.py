@@ -6,17 +6,19 @@ latent U_i per vertex and connecting i and j with probability
 min(rho_n * h(U_i, U_j), 1).  The sampler draws the pairs i < j in
 row-major upper-triangle order, one block of rows at a time: its uniforms
 are exactly those of one n(n-1)/2 draw, and its memory is the adjacency
-plus O(_BLOCK_PAIRS).  The module also computes the population quantities
-that the variance estimators target, by nested adaptive quadrature, so
-tests and the simulation harness can use them as oracles.
+plus O(_BLOCK_PAIRS).  A `Network` is its adjacency alone, and every way
+of making one hands the upper triangle to one symmetric-CSR builder.  The
+module also computes the population quantities that the variance
+estimators target, by nested adaptive quadrature, so tests and the
+simulation harness can use them as oracles.
 """
 
 from __future__ import annotations
 
 import ast
-import csv
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,70 +93,88 @@ def _csr_index_dtype(nnz: int, n: int) -> type:
 
 @dataclass(frozen=True)
 class Network:
-    """An undirected simple graph with cached degrees.
+    """An undirected simple graph, held as its adjacency E.
 
-    `adjacency` is a symmetric scipy CSR array with zero diagonal, float64
-    data and int32 `indices`/`indptr`, int64 only when its nonzero count
-    exceeds 2**31 - 1; `from_adjacency`, `from_edges` and `sample_graph` all
-    give that index dtype.  `degrees` is int64, recomputable from the
-    adjacency, and must match it exactly.  `latents` is populated only by the
-    graph sampler (simulation mode) and is never read by estimators.
+    `adjacency` is a symmetric scipy CSR array of ones with zero diagonal,
+    float64 data, sorted indices, and int32 `indices`/`indptr`, int64 only
+    when its nonzero count exceeds 2**31 - 1.  `from_edges`,
+    `from_adjacency`, `sample_graph` and `load_edge_list` all build it in
+    `_from_upper`, so they give the same array for the same graph.
     """
 
-    n: int
     adjacency: sp.csr_array
-    degrees: np.ndarray
-    latents: np.ndarray | None = field(default=None, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """N_i = sum_j E_ij, as int64."""
+        return np.diff(self.adjacency.indptr).astype(np.int64)
 
     @classmethod
     def from_adjacency(cls, adjacency) -> "Network":
-        a = sp.csr_array(adjacency, dtype=np.float64)
-        idx = _csr_index_dtype(a.nnz, max(a.shape))
-        # copies: the frozen Network must not share arrays the caller can write
-        a = sp.csr_array((a.data.copy(), a.indices.astype(idx), a.indptr.astype(idx)), shape=a.shape)
-        n = a.shape[0]
+        """The graph of a square, symmetric 0/1 matrix with zero diagonal; stored zeros are ignored."""
+        a = sp.coo_array(adjacency, dtype=np.float64).tocsr()  # COO -> CSR sums duplicate entries
         if a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be square")
+        if not np.isin(a.data, (0.0, 1.0)).all():
+            raise ValueError("adjacency entries must be 0 or 1")
         if a.diagonal().any():
             raise ValueError("adjacency must have a zero diagonal")
         if (a != a.T).nnz != 0:
             raise ValueError("adjacency must be symmetric")
-        degrees = np.asarray(a.sum(axis=1)).ravel().astype(np.int64)
-        return cls(n=n, adjacency=a, degrees=degrees)
+        return cls.from_edges(a.shape[0], np.column_stack(sp.triu(a, k=1).nonzero()))
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Network":
-        rows, cols = [], []
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-loop ({i},{i}) not allowed")
-            rows += [i, j]
-            cols += [j, i]
-        data = np.ones(len(rows), dtype=np.float64)
-        a = sp.csr_array(sp.coo_array((data, (rows, cols)), shape=(n, n)))
-        a.data[:] = 1.0  # collapse duplicate edge listings
-        return cls.from_adjacency(a)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        start, stop = self.adjacency.indptr[i], self.adjacency.indptr[i + 1]
-        return self.adjacency.indices[start:stop]
+        """The graph on vertices 0..n-1 with the given (i, j) pairs; a repeated pair counts once."""
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if ((e < 0) | (e >= n)).any():
+            raise ValueError(f"vertex ids must lie in 0..{n - 1}")
+        loops = np.flatnonzero(e[:, 0] == e[:, 1])
+        if loops.size:
+            raise ValueError(f"self-loop ({e[loops[0], 0]},{e[loops[0], 0]}) not allowed")
+        # row-major upper-triangle keys; np.unique would hash, 70x slower at 2M keys on numpy 2.4
+        keys = np.sort(e.min(axis=1) * n + e.max(axis=1))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        rows = keys // n
+        return _from_upper(n, np.bincount(rows, minlength=n), [keys - rows * n])
 
     def treated_neighbor_counts(self, w: np.ndarray) -> np.ndarray:
         """M_i = sum_j E_ij w_j."""
         return self.adjacency @ np.asarray(w, dtype=np.float64)
 
-    def edge_array(self) -> np.ndarray:
-        """(m, 2) array of edges with i < j."""
-        coo = sp.coo_array(sp.triu(self.adjacency, k=1))
-        order = np.lexsort((coo.col, coo.row))
-        return np.column_stack([coo.row[order], coo.col[order]]).astype(np.int64)
 
-    def to_edge_list_csv(self, path) -> None:
-        """Write edges as 0-based "i,j" rows with i < j."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for i, j in self.edge_array():
-                writer.writerow([int(i), int(j)])
+def _from_upper(n: int, row_hits: np.ndarray, hit_cols: list[np.ndarray]) -> Network:
+    """The network with row_hits[i] upper-triangle entries in row i, at the sorted columns `hit_cols`.
+
+    The chunk list is emptied: no caller may hold the columns while the float64 data is made.
+    """
+    idx = _csr_index_dtype(2 * int(row_hits.sum()), n)
+    cols = np.concatenate(hit_cols, dtype=idx)
+    hit_cols.clear()
+    if cols.size:
+        up_ptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(row_hits, out=up_ptr[1:])
+        # the transpose lists each row's neighbours below the diagonal, sorted;
+        # only its pattern is read, so an int8 one will do
+        low = sp.csr_array((np.ones(cols.size, dtype=np.int8), cols, up_ptr), shape=(n, n)).tocsc()
+        # a row of the result is its lower part followed by its upper part
+        upper_slot = np.repeat(
+            np.tile([False, True], n), np.column_stack([np.diff(low.indptr), row_hits]).ravel()
+        )
+        indices = np.empty(upper_slot.shape[0], dtype=idx)
+        indices[upper_slot] = cols
+        indices[~upper_slot] = low.indices
+        indptr = up_ptr + low.indptr
+        # every temporary goes before the float64 data, the largest array, is made
+        del low, cols, upper_slot, up_ptr, row_hits
+        a = sp.csr_array((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
+    else:  # scipy's empty array, int32-indexed as an empty COO build gives
+        a = sp.csr_array((n, n))
+    return Network(a)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +348,8 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
     and draws one uniform per pair.  Consecutive `rng.random` calls continue
     one stream, so the draws, the edges and the generator's state afterwards
     are exactly those of a single n(n-1)/2 draw.  Memory is the adjacency
-    plus O(_BLOCK_PAIRS).  Clamping at 1 is silent.  The latent vector is
-    stored on the returned network for oracle checks; estimators never read
-    it.
+    plus O(_BLOCK_PAIRS).  Clamping at 1 is silent.  The network holds only
+    the adjacency; a caller that needs the latents keeps its own.
     """
     u = np.asarray(latents, dtype=float)
     n = u.shape[0]
@@ -355,30 +374,7 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
         block_cols = np.empty(pos.shape[0], dtype=col_idx)
         np.add(pos, np.repeat(rows + 1 - (ends - lengths), counts), out=block_cols, casting="unsafe")
         hit_cols.append(block_cols)
-    idx = _csr_index_dtype(2 * int(row_hits.sum()), n)
-    cols = np.concatenate(hit_cols, dtype=idx)
-    del hit_cols
-    if cols.size:
-        up_ptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(row_hits, out=up_ptr[1:])
-        # the transpose lists each row's neighbours below the diagonal, sorted;
-        # only its pattern is read, so an int8 one will do
-        low = sp.csr_array((np.ones(cols.size, dtype=np.int8), cols, up_ptr), shape=(n, n)).tocsc()
-        # a row of the result is its lower part followed by its upper part
-        upper_slot = np.repeat(
-            np.tile([False, True], n), np.column_stack([np.diff(low.indptr), row_hits]).ravel()
-        )
-        indices = np.empty(upper_slot.shape[0], dtype=idx)
-        indices[upper_slot] = cols
-        indices[~upper_slot] = low.indices
-        indptr = up_ptr + low.indptr
-        # every temporary goes before the float64 data, the largest array, is made
-        del low, cols, upper_slot, up_ptr, row_hits
-        a = sp.csr_array((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
-    else:  # scipy's empty array, int32-indexed as an empty COO build gives
-        a = sp.csr_array((n, n))
-    degrees = np.diff(a.indptr).astype(np.int64)
-    return Network(n=n, adjacency=a, degrees=degrees, latents=u)
+    return _from_upper(n, row_hits, hit_cols)
 
 
 # ---------------------------------------------------------------------------

