@@ -9,8 +9,9 @@ Carlo oracles (ate_oracle on every outcome model at 250 000 draws, i.e. two chun
 theoretical_variance_oracle Vreg, Vdim and Valpha on sec31-validation and Vnp on sec41-main
 p=5), run_scenario summaries (JSON plus raw estimates; only n=400 runs Lanczos) of get_scenario
 with and without its overrides and of a contact file passed by path, their emit_report files,
-reproduce_table table1/table5 at budget 0.02, `netate estimate`, and `netate simulate` with a
-`--graphon` override.
+reproduce_table table1/table5 at budget 0.02, `netate estimate` (also np:polyseq with the np
+tuning overrides --h-band and --b-trim), and `netate simulate` with a `--graphon` override and
+with the np tuning overrides.
 
 Where outputs may move in the last digits, list the numbers themselves and compare them:
 
@@ -55,6 +56,14 @@ VARIANCE_ORACLES = [("sec31-validation", {}, "Vreg", None), ("sec31-validation",
                     ("sec31-validation", {}, "Valpha", {"alpha1": [0.5], "alpha0": [-0.25]}),
                     ("sec41-main", {"p": 5}, "Vnp", None)]
 MULTI_INDICES = ([0], [1], [2], [4], [6], [2, 2], [3, 0, 4])
+# `netate simulate` runs: case name, then the flags before --reps
+SIMULATIONS = [
+    ("sec31-validation-constant:0.5", ["--scenario", "sec31-validation", "--n", "150", "--graphon",
+                                       "constant:0.5", "--methods", "linear,dim:conservative"]),
+    # np tuning overrides that trim some points but not all
+    ("sec41-main-h0.8-b0.02", ["--scenario", "sec41-main", "--p", "1", "--n", "300", "--methods",
+                               "np,np:none", "--h-band", "0.8", "--b-trim", "0.02"]),
+]
 ESTIMATES = [("dim", "spectral"), ("dim", "conservative"), ("linear", "spectral"),
              ("linear", "conservative"), ("linear", "none"), ("np", "polyseq"), ("np", "none")]
 
@@ -175,17 +184,23 @@ def run(listing: Listing) -> None:
                              "--variance", variance, "--out", str(out)])
             emit(f"estimate/{method}:{variance}", str(code).encode(), out.read_bytes(),
                  numbers={"exit_code": code, "output": json.loads(out.read_text())})
+        out = root / "estimate-np-overrides.json"
+        code = cli_main(["estimate", "--data", str(root / "trial.csv"), "--pi", "0.2", "--edges",
+                         str(root / "edges.csv"), "--rank", "3", "--method", "np", "--variance", "polyseq",
+                         "--h-band", "0.9", "--b-trim", "0.02", "--out", str(out)])
+        emit("estimate/np:polyseq-h0.9-b0.02", str(code).encode(), out.read_bytes(),
+             numbers={"exit_code": code, "output": json.loads(out.read_text())})
 
-        out = root / "simulate"
-        records.clear()
-        with contextlib.redirect_stdout(io.StringIO()):  # the printed paths name the temp dir
-            code = cli_main(["simulate", "--scenario", "sec31-validation", "--n", "150", "--graphon",
-                             "constant:0.5", "--methods", "linear,dim:conservative", "--reps", "10",
-                             "--seed", "7", "--workers", "1", "--out", str(out)])
-        emit("simulate/sec31-validation-constant:0.5", str(code).encode(),
-             *(f.name.encode() + f.read_bytes() for f in sorted(out.iterdir())),
-             numbers={"exit_code": code, "summary": json.loads((out / "summary.json").read_text()),
-                      "replicates": records})
+        for k, (case, argv) in enumerate(SIMULATIONS):
+            out = root / f"simulate{k}"
+            records.clear()
+            with contextlib.redirect_stdout(io.StringIO()):  # the printed paths name the temp dir
+                code = cli_main(["simulate", *argv, "--reps", "10", "--seed", "7", "--workers", "1",
+                                 "--out", str(out)])
+            emit(f"simulate/{case}", str(code).encode(),
+                 *(f.name.encode() + f.read_bytes() for f in sorted(out.iterdir())),
+                 numbers={"exit_code": code, "summary": json.loads((out / "summary.json").read_text()),
+                          "replicates": records})
 
 
 def _relative(a: list, b: list) -> float:
