@@ -29,6 +29,7 @@ from ._errors import (
     IsolatedVertexError,
     NetateError,
     QuadratureError,
+    ReplicateFailureError,
     SingularDesignError,
     UnknownGraphonError,
     UnknownScenarioError,

@@ -34,6 +34,10 @@ class AllTrimmedError(NetateError):
     """Every query point failed the trimming conditions; estimate undefined."""
 
 
+class ReplicateFailureError(NetateError, RuntimeError):
+    """A method failed in more replicates than a Monte Carlo run tolerates."""
+
+
 class InvalidAdjustmentError(NetateError):
     """An adjustment function returned a non-finite value."""
 

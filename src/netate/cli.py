@@ -45,7 +45,9 @@ def _cmd_estimate(args) -> int:
     network = None
     if args.edges:
         network, _ = load_edge_list(args.edges, min_count=args.min_count, drop_isolated=args.drop_isolated)
-    data = load_trial_csv(args.data, pi=args.pi, network=network)
+    data = load_trial_csv(args.data, pi=args.pi)
+    if network is not None and network.n != data.n:
+        raise ValueError(f"the edge list has {network.n} vertices but the data has {data.n} rows")
     try:
         est, variance = _resolve_method(f"{args.method}:{args.variance or ''}")
     except ValueError:
@@ -102,11 +104,6 @@ def _cmd_simulate(args) -> int:
     )
     if args.graphon:
         scenario = replace(scenario, graphon=make_graphon(args.graphon))
-    np_overrides = {}
-    if args.h_band is not None:
-        np_overrides["h_band"] = args.h_band
-    if args.b_trim is not None:
-        np_overrides["b_trim"] = args.b_trim
     summary = run_scenario(
         scenario,
         args.n,
@@ -114,7 +111,8 @@ def _cmd_simulate(args) -> int:
         reps=args.reps,
         seed=args.seed,
         workers=args.workers,
-        np_overrides=np_overrides,
+        h_band=args.h_band,
+        b_trim=args.b_trim,
     )
     paths = emit_report(summary, args.out)
     for p in paths:

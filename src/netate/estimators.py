@@ -145,42 +145,32 @@ def _np_columns(data: TrialData) -> np.ndarray:
 
 
 def _np_tuning(
-    n: int,
-    p: int,
-    alpha: float,
-    Z: np.ndarray,
-    rhs: np.ndarray,
-    h_band: float | None = None,
-    b_trim: float | None = None,
-) -> tuple[int, float, float, np.ndarray | None]:
-    """Kernel order, bandwidth and trim level from the plug-in rule, and the sums K @ rhs.
+    data: TrialData, alpha: float, h_band: float | None = None, b_trim: float | None = None
+) -> tuple[KernelConfig, np.ndarray]:
+    """The kernel estimator's KernelConfig from the plug-in rule, and its sums K @ _np_columns(data).
 
     q follows the dimension map; the bandwidth is (1 + p/2) n^(-1/a1) with
     a1 = p/2 + 3q; the trim level is C2 n^(-1/a2) with
     a2 = (3p + 18q)/(q - p/2) and C2 the alpha-quantile of the density
-    estimates at the sample points.  Either tuning value can be overridden;
-    the sums are None when b_trim is given, since nothing needed them.
+    estimates at the sample points.  Either tuning value can be overridden.
 
-    rhs is (n, k) with a first column of ones, so the sums' column 0 is the
-    unscaled density estimate that the trim level needs.  The sums come
-    from weights_matrix, which makes no (n, n) array.
+    The sums are computed once, whether or not b_trim is given, and their
+    column 0 is the unscaled density estimate that the trim level needs.
+    They come from weights_matrix, which makes no (n, n) array and reads no
+    trim level.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    n, p = data.n, data.p
     q = kernel_order_for_dimension(p)
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    if Z.shape != (n, p):
-        raise ValueError(f"Z must have shape ({n}, {p})")
     a1 = 0.5 * p + 3 * q
     h = float(h_band) if h_band is not None else (1.0 + 0.5 * p) * float(n) ** (-1.0 / a1)
+    # b_trim = h cannot trip the h < b_trim warning
+    config = KernelConfig(q=q, p=p, h_band=h, b_trim=h if b_trim is None else float(b_trim))
+    sums = weights_matrix(data.Z, config, rhs=_np_columns(data))
     if b_trim is not None:
-        return q, h, float(b_trim), None
+        return config, sums
     a2 = (3.0 * p + 18.0 * q) / (q - 0.5 * p)
-    # weights_matrix reads no trim level, and b_trim = h cannot trip the h < b_trim warning
-    probe = KernelConfig(q=q, p=p, h_band=h, b_trim=h)
-    sums = weights_matrix(Z, probe, rhs=rhs)
     p_hat = sums[:, 0] / (n * h**p)
     c2 = float(np.quantile(p_hat, alpha))
     if c2 <= 0:
@@ -188,7 +178,7 @@ def _np_tuning(
             f"the {alpha}-quantile of the density estimates is {c2:g} <= 0; "
             f"pass b_trim explicitly"
         )
-    return q, h, c2 * float(n) ** (-1.0 / a2), sums
+    return KernelConfig(q=q, p=p, h_band=h, b_trim=c2 * float(n) ** (-1.0 / a2)), sums
 
 
 def nonparametric(
@@ -206,9 +196,9 @@ def nonparametric(
     and den0, and the numerators num1 and num0.  den0 is a sum of its own,
     not the density minus den1: with the signed higher-order kernels that
     difference cancels where den0 is near zero, which is where the
-    trimming tests read it.  `sums` may carry K @ V from _np_tuning;
-    otherwise weights_matrix computes it.  Either way no (n, n) array is
-    made.
+    trimming tests read it.  On the harness path `sums` is the K @ V that
+    _np_tuning computed with `config`; a library caller may omit it, and
+    weights_matrix computes it here.  Either way no (n, n) array is made.
     """
     treated, control = _groups(data)
     if config.p != data.p:

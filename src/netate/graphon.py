@@ -275,9 +275,13 @@ def make_graphon(key: str, sparsity_exponent: float = 0.25) -> GraphonSpec:
             eigenvalues=(c,),
         )
     if key.startswith("rank1:"):
-        from scipy import integrate  # deferred, like _quad
-        psi_raw = _parse_expr(key.split(":", 1)[1])
-        norm_sq, _ = integrate.quad(lambda t: psi_raw(t) ** 2, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
+        expr = key.split(":", 1)[1]
+        psi_raw = _parse_expr(expr)
+        try:
+            with np.errstate(all="ignore"):  # a pole or a nan shows in the quadrature's check
+                norm_sq = _quad(lambda t: psi_raw(t) ** 2, 0.0, 1.0, 1e-12, "the L2 norm")
+        except QuadratureError as exc:
+            raise UnknownGraphonError(f"rank1 expression {expr!r} has no finite L2 norm on [0, 1]: {exc}") from None
         if norm_sq <= 0:
             raise UnknownGraphonError("rank1 expression must have positive L2 norm")
         scale = float(np.sqrt(norm_sq))
@@ -382,12 +386,17 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
 # ---------------------------------------------------------------------------
 
 def _quad(fn, a: float, b: float, tol: float, what: str) -> float:
+    """int_a^b fn, or QuadratureError when quad warns, misses tol, or returns a non-finite value.
+
+    Every quadrature of the package runs through here.
+    """
     # deferred: importing scipy.integrate (and with it scipy.optimize, scipy.linalg and
     # scipy.spatial) costs about 0.35 s and 25 MB, and only the oracles integrate
     from scipy import integrate
     out = integrate.quad(fn, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)
     value, abserr = out[0], out[1]
-    if len(out) > 3 or abserr > max(tol, 10 * tol * abs(value)):
+    # quad can return inf with abserr inf and no warning, and inf > inf is False
+    if len(out) > 3 or not np.isfinite(value) or abserr > max(tol, 10 * tol * abs(value)):
         raise QuadratureError(f"quadrature for {what} did not converge", achieved=abserr)
     return value
 

@@ -20,17 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import set_openblas_threads, usable_cores
-from ._errors import NetateError, UnknownScenarioError
+from ._errors import NetateError, ReplicateFailureError, UnknownScenarioError
 from .estimators import (
     EstimateResult,
-    _np_columns,
     _np_tuning,
     difference_in_means,
     linear_adjusted,
     nonparametric,
 )
 from .graphon import GraphonSpec, Network, graphon_b, make_graphon, sample_graph, sample_latents
-from .kernels import KernelConfig
 from .trial import (
     MonteCarloValue,
     OutcomeModel,
@@ -252,7 +250,7 @@ def _network_term(
     if spectral is None:
         spectral = leading_eigenpairs(net, rank)
     weights = pc_balancing_weights(net, spectral, data.W, data.pi)
-    d1, d0 = estimate_derivative_means(data, weights, data.pi)
+    d1, d0 = estimate_derivative_means(data, weights)
     return b_hat, d1, d0
 
 
@@ -269,7 +267,7 @@ def _run_replicate(task: _RepTask) -> dict:
     draw = sample_covariates(scenario.outcome, n, rng)
     exposures = exposure_fractions(net, w) if scenario.interference else scenario.pi
     y = simulate_outcomes(scenario.outcome, w, exposures, draw, rng)
-    data = TrialData(Y=y, W=w, Z=draw.Z, pi=scenario.pi, network=net if scenario.interference else None)
+    data = TrialData(Y=y, W=w, Z=draw.Z, pi=scenario.pi)
 
     b_hat = d1 = d0 = 0.0
     if scenario.interference and any(var in _NETWORK_VARIANCES for _, var in task.methods):
@@ -306,11 +304,7 @@ def _estimate_once(
     elif est == "linear":
         result = linear_adjusted(data)
     else:
-        q, h, b, sums = _np_tuning(
-            data.n, data.p, settings.alpha, data.Z, _np_columns(data),
-            h_band=settings.h_band, b_trim=settings.b_trim,
-        )
-        config = KernelConfig(q=q, p=data.p, h_band=h, b_trim=b)
+        config, sums = _np_tuning(data, settings.alpha, settings.h_band, settings.b_trim)
         result = nonparametric(data, config, sums=sums)
         kept = result.diagnostics["kept"]
 
@@ -442,19 +436,21 @@ def run_scenario(
     reps: int,
     seed: int,
     workers: int = 1,
-    np_overrides: dict | None = None,
+    h_band: float | None = None,
+    b_trim: float | None = None,
 ) -> ScenarioSummary:
     """Run seeded replicates of a scenario and aggregate per-method statistics.
 
     `methods` is a sequence of "estimator[:variance]" strings, e.g. "linear",
-    "dim:conservative", "np".  `np_overrides` may fix "h_band" and "b_trim";
-    the trim quantile is the scenario's np_alpha.  Intervals are at level
-    0.95 and polyseq stops at degree 5 or relative change 0.05.  For
-    fixed-network scenarios n is the network size; the spectral pieces of
-    the variance are computed once and shared.
+    "dim:conservative", "np".  `h_band` and `b_trim` override the np
+    bandwidth and trim level; the trim quantile is the scenario's np_alpha.
+    Intervals are at level 0.95 and polyseq stops at degree 5 or relative
+    change 0.05.  For fixed-network scenarios n is the network size; the
+    spectral pieces of the variance are computed once and shared.
     Replicate failures are counted per method. A method that fails in more
-    than 5% of replicates, every replicate included, raises RuntimeError
-    quoting the count and the first error with its exception type.
+    than 5% of replicates, every replicate included, raises
+    ReplicateFailureError (a RuntimeError) quoting the count and the first
+    error with its exception type.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -470,14 +466,10 @@ def run_scenario(
             shared_b = estimate_b(scenario.network)
             shared_spec = leading_eigenpairs(scenario.network, scenario.rank)
 
-    overrides = np_overrides or {}
-    unknown = set(overrides) - {"h_band", "b_trim"}
-    if unknown:
-        raise ValueError(f"unknown np_overrides keys {sorted(unknown)}; use h_band or b_trim")
     settings = _Settings(
         alpha=scenario.np_alpha,
-        h_band=overrides.get("h_band"),
-        b_trim=overrides.get("b_trim"),
+        h_band=h_band,
+        b_trim=b_trim,
         level=0.95,
         max_degree=5,
         rel_tol=0.05,
@@ -508,7 +500,7 @@ def run_scenario(
         records = [r[key] for r in results]
         errors = [r["error"] for r in records if "error" in r]
         if len(errors) > 0.05 * reps:
-            raise RuntimeError(
+            raise ReplicateFailureError(
                 f"method {key} failed in {len(errors)}/{reps} replicates; first: {errors[0]}"
             )
         summaries[key] = _aggregate(key, records, tau, n)
@@ -769,9 +761,7 @@ def reproduce_table(
         for p, grid in _TABLE2_REFERENCE.items():
             for (h, alpha), ref in grid.items():
                 scenario = get_scenario("sec41-main", p=p, np_alpha=alpha)
-                summary = run_scenario(
-                    scenario, 1000, ("np:none",), reps, seed, workers, np_overrides={"h_band": h}
-                )
+                summary = run_scenario(scenario, 1000, ("np:none",), reps, seed, workers, h_band=h)
                 cells.append({
                     "p": p, "h_band": h, "alpha": alpha,
                     "n_mse": summary.methods["np:none"].n_mse, "n_mse_reference": ref,

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import UnsupportedDimensionError
+from .graphon import _quad
 
 __all__ = [
     "KernelConfig",
@@ -145,18 +146,10 @@ def kernel_moment(config: KernelConfig, multi_index) -> float:
         raise ValueError("exponents must be nonnegative")
     if len(exps) > config.p:
         raise ValueError("multi-index longer than the covariate dimension")
-    from scipy import integrate  # deferred, like graphon._quad
     value = 1.0
     for l in exps:
-        m, _ = integrate.quad(
-            lambda t, l=l: t**l * float(_kernel_1d(config.q, np.array([t]))[0]),
-            -1.0,
-            1.0,
-            epsabs=1e-13,
-            epsrel=1e-13,
-            limit=200,
-        )
-        value *= m
+        value *= _quad(lambda t, l=l: t**l * float(_kernel_1d(config.q, np.array([t]))[0]),
+                       -1.0, 1.0, 1e-13, f"kernel moment of order {l}")
     return value
 
 

@@ -44,17 +44,16 @@ __all__ = [
 class TrialData:
     """Observables handed to estimators: outcomes, treatments, covariates.
 
-    `pi` is the design treatment probability.  `network` is required only by
-    the interference-aware variance estimators.  Y and Z must be finite.
-    Group non-emptiness is an estimation-time requirement, not a
-    construction-time one.
+    `pi` is the design treatment probability.  The network is not part of
+    the data: the variance's network term takes it as an argument of its
+    own.  Y and Z must be finite.  Group non-emptiness is an estimation-time
+    requirement, not a construction-time one.
     """
 
     Y: np.ndarray
     W: np.ndarray
     Z: np.ndarray
     pi: float
-    network: Network | None = None
 
     def __post_init__(self):
         y = np.asarray(self.Y, dtype=float)
@@ -73,8 +72,6 @@ class TrialData:
             raise ValueError("Y and Z entries must be finite")
         if not 0.0 < self.pi < 1.0:
             raise ValueError("pi must lie in (0, 1)")
-        if self.network is not None and self.network.n != n:
-            raise ValueError("network size does not match data length")
         object.__setattr__(self, "Y", y)
         object.__setattr__(self, "W", w.astype(np.int64))
         object.__setattr__(self, "Z", z)
@@ -416,6 +413,11 @@ def ate_oracle(
 # File ingestion / emission
 # ---------------------------------------------------------------------------
 
+def _blank(row: list[str]) -> bool:
+    """True for a csv row read from an empty or whitespace-only line."""
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
 def load_edge_list(
     path, min_count: int = 1, drop_isolated: bool = False
 ) -> tuple[Network, np.ndarray]:
@@ -435,7 +437,7 @@ def load_edge_list(
     self_loops = 0
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
+            if _blank(row):
                 continue
             if len(row) not in (2, 3):
                 raise EdgeListParseError(str(path), lineno, f"expected 2 or 3 fields, got {len(row)}")
@@ -479,8 +481,11 @@ def save_trial_csv(data: TrialData, path) -> None:
             writer.writerow([repr(float(data.Y[i])), int(data.W[i])] + [repr(float(v)) for v in data.Z[i]])
 
 
-def load_trial_csv(path, pi: float, network: Network | None = None) -> TrialData:
-    """Read a y,w,z1,...,zp dataset; pi is supplied by the design, not the file."""
+def load_trial_csv(path, pi: float) -> TrialData:
+    """Read a y,w,z1,...,zp dataset; pi is supplied by the design, not the file.
+
+    Empty and whitespace-only lines are skipped, as load_edge_list skips them.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -489,7 +494,7 @@ def load_trial_csv(path, pi: float, network: Network | None = None) -> TrialData
         p = len(header) - 2
         rows = []
         for lineno, row in enumerate(reader, start=2):
-            if not row:
+            if _blank(row):
                 continue
             if len(row) != p + 2:
                 raise ValueError(f"{path}:{lineno}: expected {p + 2} fields")
@@ -510,4 +515,4 @@ def load_trial_csv(path, pi: float, network: Network | None = None) -> TrialData
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
-    return TrialData(Y=arr[:, 0], W=arr[:, 1].astype(np.int64), Z=arr[:, 2:], pi=pi, network=network)
+    return TrialData(Y=arr[:, 0], W=arr[:, 1].astype(np.int64), Z=arr[:, 2:], pi=pi)

@@ -260,16 +260,14 @@ def pc_balancing_weights(
     return v - psi @ (psi.T @ v)
 
 
-def estimate_derivative_means(
-    data: TrialData, weights: np.ndarray, pi: float
-) -> tuple[float, float]:
-    """Balanced-weight estimates of the mean exposure derivatives per arm."""
+def estimate_derivative_means(data: TrialData, weights: np.ndarray) -> tuple[float, float]:
+    """Balanced-weight estimates of the mean exposure derivatives per arm, at the design pi = data.pi."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape[0] != data.n:
         raise ValueError("weights length does not match data")
     w = data.W.astype(float)
-    d1 = float((w * data.Y * weights).sum() / (data.n * pi))
-    d0 = float(((1.0 - w) * data.Y * weights).sum() / (data.n * (1.0 - pi)))
+    d1 = float((w * data.Y * weights).sum() / (data.n * data.pi))
+    d0 = float(((1.0 - w) * data.Y * weights).sum() / (data.n * (1.0 - data.pi)))
     return d1, d0
 
 

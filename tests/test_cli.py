@@ -14,7 +14,6 @@ import netate.cli as cli_module
 import netate.estimators as estimators_module
 import netate.harness as harness_module
 from netate import (
-    KernelConfig,
     QuadratureError,
     TrialData,
     assign_treatments,
@@ -82,15 +81,15 @@ def _expected(data, network, method, variance):
     elif method == "linear":
         result = linear_adjusted(data)
     else:
-        q, h, b, _ = estimators_module._np_tuning(data.n, data.p, 0.01, data.Z, np.ones((data.n, 1)))
-        result = nonparametric(data, KernelConfig(q=q, p=data.p, h_band=h, b_trim=b))
+        config, _ = estimators_module._np_tuning(data, 0.01)
+        result = nonparametric(data, config)
     if variance == "none":
         return result, None, None
     b_hat = d1 = d0 = 0.0
     if variance in ("spectral", "polyseq"):
         b_hat = estimate_b(network)
         weights = pc_balancing_weights(network, leading_eigenpairs(network, RANK), data.W, PI)
-        d1, d0 = estimate_derivative_means(data, weights, PI)
+        d1, d0 = estimate_derivative_means(data, weights)
     if variance == "polyseq":
         report = variance_np_polyseq(data, b_hat, (d1, d0))
         v, components = report.v_hat, list(report.components)
@@ -114,7 +113,7 @@ def test_estimate_matches_library_primitives(capsys, trial_files, method, varian
     payload = json.loads(out)
 
     network, _ = load_edge_list(edges_path)
-    data = load_trial_csv(data_path, pi=PI, network=network)
+    data = load_trial_csv(data_path, pi=PI)
     result, v, components = _expected(data, network, method, variance)
     assert payload["method"] == result.method
     assert payload["tau_hat"] == pytest.approx(result.tau_hat, rel=1e-12)
@@ -241,6 +240,21 @@ def test_np_everything_trimmed_exits_2(capsys, trial_files):
     _assert_one_error_line(code, out, err, "every point failed the trimming conditions")
 
 
+def test_edge_list_of_another_size_exits_2_before_the_network_term(capsys, trial_files, tmp_path, monkeypatch):
+    def no_network_term(*args, **kwargs):
+        raise AssertionError("_network_term was called")
+
+    monkeypatch.setattr(cli_module, "_network_term", no_network_term)
+    data_path, edges_path = trial_files
+    rows = len(data_path.read_text().splitlines()) - 1
+    other = tmp_path / "edges.csv"
+    other.write_text(edges_path.read_text() + f"0,{rows}\n")  # one vertex more than data rows
+    code, out, err = _run(capsys, [
+        "--data", str(data_path), "--pi", str(PI), "--edges", str(other), "--rank", str(RANK),
+    ])
+    _assert_one_error_line(code, out, err, f"the edge list has {rows + 1} vertices but the data has {rows} rows")
+
+
 def test_malformed_edge_list_exits_2(capsys, trial_files, tmp_path):
     data_path, _ = trial_files
     edges_path = tmp_path / "edges.csv"
@@ -321,7 +335,8 @@ def test_simulate_graphon_override_uses_its_rank(capsys, monkeypatch, tmp_path):
     (["--scenario", "sec41-main", "--p", "-1"], "p must be >= 1, got -1"),
     # a fixed network has no graphon to override
     (["--scenario", "contact-vaccine", "--graphon", "constant:0.5"], "exactly one of a graphon or a fixed network"),
-], ids=["p=0", "p=-1", "contact-graphon"])
+    (["--scenario", "sec31-validation", "--graphon", "rank1:1/(x-0.5)"], "has no finite L2 norm"),
+], ids=["p=0", "p=-1", "contact-graphon", "rank1-pole"])
 def test_simulate_bad_scenario_override_exits_2_before_any_replicate(capsys, monkeypatch, tmp_path, override, message):
     def no_replicates(*args, **kwargs):
         raise AssertionError("run_scenario was called")
@@ -331,6 +346,15 @@ def test_simulate_bad_scenario_override_exits_2_before_any_replicate(capsys, mon
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_simulate_too_many_failed_replicates_exits_2(capsys, tmp_path):
+    # n = 1: every replicate has an empty treatment group
+    code = main(["simulate", "--scenario", "sec31-validation", "--n", "1", "--no-interference",
+                 "--methods", "dim", "--reps", "4", "--workers", "1", "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    _assert_one_error_line(code, out, err, "method dim:spectral failed in 4/4 replicates; first: EmptyGroupError")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

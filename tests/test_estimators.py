@@ -23,7 +23,7 @@ from netate import (
     run_scenario,
 )
 from netate.estimators import RCOND_THRESHOLD, TRIM_FACTOR, _group_ols, _np_columns, _np_tuning
-from netate import kernels
+from netate import estimators, kernels
 
 from conftest import WORKERS, rng_for, whole_matrix_weights
 
@@ -263,9 +263,11 @@ def test_function_with_true_conditional_means_beats_dim():
 # rule of thumb
 # ---------------------------------------------------------------------------
 
-def rule_of_thumb(n, p, alpha, Z, **overrides):
-    """The plug-in (q, h, b_trim) of _np_tuning, whose density column needs only ones."""
-    return _np_tuning(n, p, alpha, Z, np.ones((n, 1)), **overrides)[:3]
+def rule_of_thumb(alpha, Z, **overrides):
+    """The plug-in (q, h, b_trim) of _np_tuning at covariates Z, which alone set it."""
+    n = Z.shape[0]
+    config, _ = _np_tuning(TrialData(Y=np.zeros(n), W=np.zeros(n), Z=Z, pi=0.5), alpha, **overrides)
+    return config.q, config.h_band, config.b_trim
 
 
 def test_rule_of_thumb_bandwidths_match_published_column():
@@ -274,7 +276,7 @@ def test_rule_of_thumb_bandwidths_match_published_column():
                  7: 2.881, 8: 3.652, 9: 4.046, 10: 4.443}
     for p, h_ref in published.items():
         Z = rng.standard_normal((1000, p))
-        q, h, b = rule_of_thumb(1000, p, 0.01, Z)
+        q, h, b = rule_of_thumb(0.01, Z)
         assert q == {1: 2, 2: 2, 3: 2, 4: 4, 5: 4, 6: 4, 7: 4, 8: 6, 9: 6, 10: 6}[p]
         assert h == pytest.approx(h_ref, abs=2e-3)
         assert b > 0
@@ -282,7 +284,7 @@ def test_rule_of_thumb_bandwidths_match_published_column():
 
 def test_rule_of_thumb_formula_exact():
     Z = rng_for(34).standard_normal((500, 5))
-    q, h, b = rule_of_thumb(500, 5, 0.05, Z)
+    q, h, b = rule_of_thumb(0.05, Z)
     a1 = 0.5 * 5 + 3 * 4
     assert h == (1 + 0.5 * 5) * 500 ** (-1 / a1)
     # the trim level is the alpha-quantile of the density estimates times n^(-1/a2)
@@ -300,12 +302,12 @@ def test_rule_of_thumb_exponent_positive_under_map():
 
 def test_rule_of_thumb_dimension_gate():
     with pytest.raises(UnsupportedDimensionError):
-        rule_of_thumb(100, 11, 0.01, rng_for(35).standard_normal((100, 11)))
+        rule_of_thumb(0.01, rng_for(35).standard_normal((100, 11)))
 
 
 def test_rule_of_thumb_overrides():
     Z = rng_for(36).standard_normal((200, 1))
-    q, h, b = rule_of_thumb(200, 1, 0.01, Z, h_band=0.4, b_trim=0.02)
+    q, h, b = rule_of_thumb(0.01, Z, h_band=0.4, b_trim=0.02)
     assert (q, h, b) == (2, 0.4, 0.02)
 
 
@@ -313,7 +315,7 @@ def test_rule_of_thumb_overrides():
 def test_rule_of_thumb_rejects_alpha_outside_unit_interval(alpha):
     Z = rng_for(37).standard_normal((200, 1))
     with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
-        rule_of_thumb(200, 1, alpha, Z)
+        rule_of_thumb(alpha, Z)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +371,7 @@ def test_nonparametric_diagnostics_and_dim_gate():
 def test_nonparametric_estimates_the_effect():
     # truth: tau = E[1 + z] = 1 at pi = 0.5
     data = np_data(n=2000, seed=12)
-    q, h, b = rule_of_thumb(2000, 1, 0.01, data.Z)
+    q, h, b = rule_of_thumb(0.01, data.Z)
     res = nonparametric(data, KernelConfig(q=q, p=1, h_band=h, b_trim=b))
     assert res.tau_hat == pytest.approx(1.0, abs=0.15)
 
@@ -431,7 +433,7 @@ def test_nonparametric_sums_match_dense_reference(p):
     w = (rng.random(n) < 0.5).astype(int)
     y = w * (1.0 + Z[:, 0]) + Z[:, 0] ** 2 + 0.1 * rng.standard_normal(n)
     data = TrialData(Y=y, W=w, Z=Z, pi=0.5)
-    q, h, b = rule_of_thumb(n, p, 0.05, Z)
+    q, h, b = rule_of_thumb(0.05, Z)
     config = KernelConfig(q=q, p=p, h_band=h, b_trim=b)
     tau, kept, *_ = _dense_reference(data, config)
     d = nonparametric(data, config)
@@ -474,7 +476,7 @@ def test_p1_trim_boundary_matches_symmetric_reference(side):
     w = (rng.random(n) < 0.5).astype(int)
     y = Z[:, 0] + w + 0.1 * rng.standard_normal(n)
     data = TrialData(Y=y, W=w, Z=Z, pi=0.5)
-    q, h, _ = rule_of_thumb(n, 1, 0.05, Z)
+    q, h, _ = rule_of_thumb(0.05, Z)
     probe = KernelConfig(q=q, p=1, h_band=h, b_trim=h)
     sums = kernels._symmetric_sums(Z, np.ascontiguousarray(Z.T), probe, _np_columns(data))
     *_, p1, p2, p_hat = _dense_reference(data, probe, sums)
@@ -496,8 +498,8 @@ def test_np_path_allocates_no_n_by_n_array():
     data = TrialData(Y=Z[:, 0] + w, W=w, Z=Z, pi=0.5)
     tracemalloc.start()
     try:
-        q, h, b, sums = _np_tuning(n, 5, 0.05, Z, _np_columns(data))
-        nonparametric(data, KernelConfig(q=q, p=5, h_band=h, b_trim=b), sums=sums)
+        config, sums = _np_tuning(data, 0.05)
+        nonparametric(data, config, sums=sums)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -505,13 +507,27 @@ def test_np_path_allocates_no_n_by_n_array():
     assert peak < n * n * 8 / 16
 
 
-def test_np_tuning_reuses_its_sums_and_checks_their_shape():
+def test_np_tuning_reuses_its_sums_and_checks_their_shape(monkeypatch):
     data = np_data(n=120)
-    q, h, b, sums = _np_tuning(data.n, 1, 0.05, data.Z, _np_columns(data))
-    config = KernelConfig(q=q, p=1, h_band=h, b_trim=b)
-    assert nonparametric(data, config, sums=sums).tau_hat == nonparametric(data, config).tau_hat
-    with pytest.raises(ValueError, match="kernel sums shape"):
-        nonparametric(data, config, sums=sums[:, :4])
+    computed = []
+    original = estimators.weights_matrix
+
+    def recording(*args, **kwargs):
+        computed.append(original(*args, **kwargs))
+        return computed[-1]
+
+    monkeypatch.setattr(estimators, "weights_matrix", recording)
+    for overrides in ({}, {"b_trim": 0.02}, {"h_band": 0.8, "b_trim": 0.02}):
+        computed.clear()
+        config, sums = _np_tuning(data, 0.05, **overrides)
+        assert len(computed) == 1 and computed[0] is sums
+        assert {k: getattr(config, k) for k in overrides} == overrides
+        # the sums are, bit for bit, those nonparametric computes itself from the config
+        reference = nonparametric(data, config)
+        assert np.array_equal(computed[1], sums)
+        assert nonparametric(data, config, sums=sums).tau_hat == reference.tau_hat
+        with pytest.raises(ValueError, match="kernel sums shape"):
+            nonparametric(data, config, sums=sums[:, :4])
     # h = inf: every density estimate is 0, so no trim level follows from them
     with pytest.raises(ValueError, match="pass b_trim explicitly"):
-        _np_tuning(data.n, 1, 0.05, data.Z, _np_columns(data), h_band=math.inf)
+        _np_tuning(data, 0.05, h_band=math.inf)

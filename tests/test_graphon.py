@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -250,6 +251,14 @@ def test_rank1_expression_grammar():
     for bad in ("__import__('os')", "x.real", "np.sin(x)", "sin(x, 2)", "lambda: 1", "True", "1 +"):
         with pytest.raises(UnknownGraphonError):
             make_graphon(f"rank1:{bad}")
+
+
+@pytest.mark.parametrize("expr", ["1/(x-0.5)", "1/sqrt(x)", "sqrt(x-2)", "1/x"])
+def test_rank1_expression_without_finite_norm_is_rejected(expr):
+    # a pole makes quad return inf with no warning, 1/sqrt(x) exhausts its subdivisions,
+    # sqrt(x-2) is nan everywhere and 1/x diverges; each is named, not normalised
+    with pytest.raises(UnknownGraphonError, match=re.escape(f"rank1 expression {expr!r} has no finite L2 norm")):
+        make_graphon(f"rank1:{expr}")
 
 
 def test_rank_graphon_rejects_unordered_eigenvalues():

@@ -8,6 +8,7 @@ import pytest
 
 from netate import (
     OutcomeModel,
+    ReplicateFailureError,
     TrialData,
     UnknownScenarioError,
     ate_oracle,
@@ -139,14 +140,14 @@ def test_pool_children_split_the_cores():
 def test_run_scenario_failure_reporting():
     s = get_scenario("sec41-main", p=1)
     with pytest.raises(RuntimeError, match="AllTrimmed"):
-        run_scenario(s, 60, ("np:none",), reps=4, seed=3, np_overrides={"b_trim": 1e9})
+        run_scenario(s, 60, ("np:none",), reps=4, seed=3, b_trim=1e9)
 
 
 def test_run_scenario_rejects_unknown_np_override():
     # the trim quantile comes from the scenario (get_scenario(np_alpha=...)), not an override
     s = get_scenario("sec41-main", p=1)
-    with pytest.raises(ValueError, match=r"\['alpha'\]"):
-        run_scenario(s, 60, ("np:none",), reps=2, seed=3, np_overrides={"alpha": 0.05})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'alpha'"):
+        run_scenario(s, 60, ("np:none",), reps=2, seed=3, alpha=0.05)
 
 
 def test_run_scenario_counts_rare_failures(monkeypatch):
@@ -192,6 +193,8 @@ def test_run_scenario_raises_above_failure_threshold(monkeypatch):
     with pytest.raises(RuntimeError, match="3/40") as info:
         run_scenario(s, 60, ("dim:none",), reps=40, seed=4)
     assert "EmptyGroupError" in str(info.value)
+    # a NetateError, so the CLI reports it on one line, and still the RuntimeError callers catch
+    assert isinstance(info.value, ReplicateFailureError)
 
 
 def test_interference_toggle_drops_network_term():

@@ -351,6 +351,11 @@ def test_trial_csv_roundtrip(tmp_path):
     assert (back.W == data.W).all()
     assert (back.Z == data.Z).all()
     assert path.read_text().splitlines()[0] == "y,w,z1,z2,z3"
+    # empty and whitespace-only lines are skipped, as load_edge_list skips them
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["", "   ", "\t"] + lines[3:] + [" "]) + "\n")
+    spaced = load_trial_csv(path, pi=0.5)
+    assert (spaced.Y == data.Y).all() and (spaced.W == data.W).all() and (spaced.Z == data.Z).all()
 
 
 def test_load_trial_csv_rejects_bad_header(tmp_path):

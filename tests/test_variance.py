@@ -133,7 +133,7 @@ def test_eigenpairs_lanczos_path_matches_dense():
 
 
 def paper_trial(n, seed):
-    """A paper-sec3 graph with one sec31-validation trial drawn on it."""
+    """A paper-sec3 graph and one sec31-validation trial drawn on it."""
     spec_g = make_graphon("paper-sec3")
     scenario = get_scenario("sec31-validation", pi=0.5)
     rng = rng_for(46, seed, n)
@@ -141,21 +141,20 @@ def paper_trial(n, seed):
     w = assign_treatments(n, 0.5, rng)
     draw = sample_covariates(scenario.outcome, n, rng)
     y = simulate_outcomes(scenario.outcome, w, exposure_fractions(net, w), draw, rng)
-    return TrialData(Y=y, W=w, Z=draw.Z, pi=0.5, network=net)
+    return net, TrialData(Y=y, W=w, Z=draw.Z, pi=0.5)
 
 
 @pytest.mark.parametrize("n,seed", [(500, s) for s in range(3)] + [(1000, s) for s in range(13)])
 def test_eigenpairs_dense_and_lanczos_agree_downstream(monkeypatch, n, seed):
     # the two paths must give the same network term, not just valid pairs:
     # Lanczos stops at LANCZOS_TOL, and its residuals must show that it did
-    data = paper_trial(n, seed)
-    net = data.network
+    net, data = paper_trial(n, seed)
     out = {}
     for path, threshold in (("dense", n), ("lanczos", n - 1)):
         monkeypatch.setattr(netate.variance, "DENSE_EIG_THRESHOLD", threshold)
         dec = leading_eigenpairs(net, 3)
         wt = pc_balancing_weights(net, dec, data.W, 0.5)
-        out[path] = (dec, wt, estimate_derivative_means(data, wt, 0.5))
+        out[path] = (dec, wt, estimate_derivative_means(data, wt))
     (decd, wd, dd), (decl, wl, dl) = out["dense"], out["lanczos"]
     vd, vl = decd.eigenvalues, decl.eigenvalues
     assert np.max(np.abs(vl - vd)) <= 1e-10 * abs(vd[0])
@@ -237,7 +236,7 @@ def test_row_blocks_view_the_adjacency():
 
 
 def test_lanczos_split_returns_the_unsplit_pairs():
-    a = paper_trial(400, 0).network.adjacency
+    a = paper_trial(400, 0)[0].adjacency
     vals, vecs = netate.variance._lanczos(a, 3, threads=1)
     for threads in (2, 3):
         split_vals, split_vecs = netate.variance._lanczos(a, 3, threads)
@@ -248,7 +247,7 @@ def test_pool_after_threaded_lanczos_matches_serial():
     # the helper threads end with the call, so a pool forked afterwards neither inherits
     # nor waits on them
     before = threading.active_count()
-    netate.variance._lanczos(paper_trial(400, 1).network.adjacency, 3, threads=2)
+    netate.variance._lanczos(paper_trial(400, 1)[0].adjacency, 3, threads=2)
     assert threading.active_count() == before
     s = get_scenario("sec31-validation", pi=0.5)
     out = {}
@@ -313,11 +312,11 @@ def test_derivative_means_trivial_cases():
     net = complete_graph(4)
     w = np.array([1, 1, 0, 1])
     wt = pc_balancing_weights(net, None, w, 0.5)
-    data = TrialData(Y=np.zeros(4), W=w, Z=np.zeros((4, 0)), pi=0.5, network=net)
-    assert estimate_derivative_means(data, wt, 0.5) == (0.0, 0.0)
-    all_treated = TrialData(Y=np.ones(4), W=np.ones(4, dtype=int), Z=np.zeros((4, 0)), pi=0.5, network=net)
+    data = TrialData(Y=np.zeros(4), W=w, Z=np.zeros((4, 0)), pi=0.5)
+    assert estimate_derivative_means(data, wt) == (0.0, 0.0)
+    all_treated = TrialData(Y=np.ones(4), W=np.ones(4, dtype=int), Z=np.zeros((4, 0)), pi=0.5)
     wt2 = pc_balancing_weights(net, None, np.ones(4), 0.5)
-    d1, d0 = estimate_derivative_means(all_treated, wt2, 0.5)
+    d1, d0 = estimate_derivative_means(all_treated, wt2)
     assert d0 == 0.0
 
 
@@ -336,10 +335,10 @@ def test_derivative_means_consistency_sparse_regime(monkeypatch):
         w = assign_treatments(n, 0.5, rng)
         draw = sample_covariates(scenario.outcome, n, rng)
         y = simulate_outcomes(scenario.outcome, w, exposure_fractions(net, w), draw, rng)
-        data = TrialData(Y=y, W=w, Z=draw.Z, pi=0.5, network=net)
+        data = TrialData(Y=y, W=w, Z=draw.Z, pi=0.5)
         dec = leading_eigenpairs(net, 3)
         wt = pc_balancing_weights(net, dec, w, 0.5)
-        d1, d0 = estimate_derivative_means(data, wt, 0.5)
+        d1, d0 = estimate_derivative_means(data, wt)
         vals.append(d1 - d0)
     assert abs(np.mean(vals) - 3.0) < 0.9
 
