@@ -10,8 +10,8 @@ theoretical_variance_oracle Vreg, Vdim and Valpha on sec31-validation and Vnp on
 p=5), run_scenario summaries (JSON plus raw estimates; only n=400 runs Lanczos) of get_scenario
 with and without its overrides and of a contact file passed by path, their emit_report files,
 reproduce_table table1/table5 at budget 0.02, `netate estimate` (also np:polyseq with the np
-tuning overrides --h-band and --b-trim), and `netate simulate` with a `--graphon` override and
-with the np tuning overrides.
+tuning overrides --h-band and --b-trim), and `netate simulate` with two `--graphon` overrides
+(constant:0.5, and a rank1: graphon, so its sampler is covered) and with the np tuning overrides.
 
 Where outputs may move in the last digits, list the numbers themselves and compare them:
 
@@ -60,6 +60,9 @@ MULTI_INDICES = ([0], [1], [2], [4], [6], [2, 2], [3, 0, 4])
 SIMULATIONS = [
     ("sec31-validation-constant:0.5", ["--scenario", "sec31-validation", "--n", "150", "--graphon",
                                        "constant:0.5", "--methods", "linear,dim:conservative"]),
+    # a rank1: graphon, so its sampled graphs are digested and not only its eigenvalue
+    ("sec31-validation-rank1:2+sin(6*x)", ["--scenario", "sec31-validation", "--n", "300", "--graphon",
+                                           "rank1:2+sin(6*x)", "--methods", "linear,dim:conservative"]),
     # np tuning overrides that trim some points but not all
     ("sec41-main-h0.8-b0.02", ["--scenario", "sec41-main", "--p", "1", "--n", "300", "--methods",
                                "np,np:none", "--h-band", "0.8", "--b-trim", "0.02"]),
