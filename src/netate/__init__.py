@@ -49,7 +49,6 @@ from .graphon import (
     graphon_b,
     graphon_degree_profile,
     make_graphon,
-    rank_graphon,
     sample_graph,
     sample_latents,
 )

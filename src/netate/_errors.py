@@ -1,6 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way it warns."""
 
 from __future__ import annotations
+
+import os
+import sys
+import warnings
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def warn_caller(message: str) -> None:
+    """Issue a UserWarning that names the first frame outside this package.
+
+    Frames of the package's files, and of the `__init__` that dataclasses
+    generate (filename "<string>"), are skipped, so the warning names the
+    line that called into the library, whichever path led to it.
+    """
+    frame, level = sys._getframe(1), 2  # stacklevel 2 is warn_caller's caller
+    while frame.f_back is not None and frame.f_code.co_filename.startswith((_PACKAGE_DIR, "<string>")):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class NetateError(Exception):

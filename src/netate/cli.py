@@ -8,8 +8,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from ._errors import InvalidVarianceError, NetateError, QuadratureError
 from .graphon import make_graphon
 from .harness import (
@@ -27,18 +25,6 @@ from .harness import (
     scenario_ids,
 )
 from .trial import load_edge_list, load_trial_csv
-
-
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def _cmd_estimate(args) -> int:
@@ -61,14 +47,7 @@ def _cmd_estimate(args) -> int:
             print("error: --rank is required with --edges for spectral/polyseq variance", file=sys.stderr)
             return 2
         b_hat, d1, d0 = _network_term(network, args.rank, data)
-    settings = _Settings(
-        alpha=args.alpha,
-        h_band=args.h_band,
-        b_trim=args.b_trim,
-        level=args.level,
-        max_degree=args.max_degree,
-        rel_tol=args.rel_tol,
-    )
+    settings = _Settings(alpha=args.alpha, h_band=args.h_band, b_trim=args.b_trim)
     result, rec = _estimate_once(settings, data, est, variance, b_hat, d1, d0)
 
     diagnostics = dict(result.diagnostics)
@@ -83,9 +62,10 @@ def _cmd_estimate(args) -> int:
         "ci_low": rec.get("lo"),
         "ci_high": rec.get("hi"),
         "method": result.method,
-        "diagnostics": _json_ready(diagnostics),
+        "diagnostics": diagnostics,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # numpy scalars and arrays that are not float64 (which is a float) serialise through .tolist()
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda o: o.tolist())
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -172,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--alpha", type=float, default=0.01, help="quantile level for the trim constant")
     est.add_argument("--h-band", type=float, help="bandwidth override")
     est.add_argument("--b-trim", type=float, help="trim threshold override")
-    est.add_argument("--max-degree", type=int, default=5)
-    est.add_argument("--rel-tol", type=float, default=0.05)
-    est.add_argument("--level", type=float, default=0.95)
     est.add_argument("--out", help="write the JSON result here instead of stdout")
     est.set_defaults(func=_cmd_estimate)
 

@@ -36,7 +36,6 @@ __all__ = [
     "GraphonSpec",
     "Network",
     "make_graphon",
-    "rank_graphon",
     "sample_latents",
     "sample_graph",
     "graphon_b",
@@ -57,17 +56,16 @@ class GraphonSpec:
     rank_hint : int, optional
         Declared finite rank; a Scenario requires it and uses it as the
         spectral rank.
-    lower_bound, upper_bound : float, optional
-        Declared c_l <= inf_x int h(x, y) dy and c_u >= sup h; not checked.
+    upper_bound : float, optional
+        Declared c_u >= sup h; not checked.
     eigenvalues : optional
-        Present only for rank-expansion specs: h = sum_k lam_k psi_k(x) psi_k(y)
-        with orthonormal psi_k.
+        Present only for the rank-1 keys (``constant:`` and ``rank1:``):
+        h = lam psi(x) psi(y) with psi of unit L2 norm.
     """
 
     h: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sparsity_exponent: float = 0.25
     rank_hint: int | None = None
-    lower_bound: float | None = None
     upper_bound: float | None = None
     name: str = "custom"
     eigenvalues: tuple[float, ...] | None = None
@@ -243,37 +241,23 @@ def _parse_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     return psi
 
 
-def make_graphon(key: str, sparsity_exponent: float = 0.25) -> GraphonSpec:
-    """Build a registered graphon.
+def make_graphon(key: str) -> GraphonSpec:
+    """Build a registered graphon, with the paper's sparsity rho_n = n**(-0.25).
 
     Keys: ``paper-sec3`` (x^2 + y^2 + xy + 0.1, rank 3), ``constant:<c>``,
     and ``rank1:<expr>`` where ``<expr>`` is a function of x defining
-    h(x, y) = expr(x) * expr(y) (normalized internally to an orthonormal
-    rank-1 expansion).
+    h(x, y) = expr(x) * expr(y), held as lam psi(x) psi(y) with
+    lam = ||expr||^2 and psi = expr / ||expr||.  Another sparsity is a
+    ``dataclasses.replace(spec, sparsity_exponent=...)``.
     """
     if key == "paper-sec3":
-        # inf_x int h = 1/3 + 0.1 at x = 0; sup h = 3.1 at (1, 1)
-        return GraphonSpec(
-            h=_quadratic_h,
-            sparsity_exponent=sparsity_exponent,
-            rank_hint=3,
-            lower_bound=13.0 / 30.0,
-            upper_bound=3.1,
-            name=key,
-        )
+        # sup h = 3.1 at (1, 1)
+        return GraphonSpec(h=_quadratic_h, rank_hint=3, upper_bound=3.1, name=key)
     if key.startswith("constant:"):
         c = float(key.split(":", 1)[1])
         if c < 0:
             raise UnknownGraphonError("constant graphon requires c >= 0")
-        return GraphonSpec(
-            h=_constant_h(c),
-            sparsity_exponent=sparsity_exponent,
-            rank_hint=1,
-            lower_bound=c,
-            upper_bound=c,
-            name=key,
-            eigenvalues=(c,),
-        )
+        return GraphonSpec(h=_constant_h(c), rank_hint=1, upper_bound=c, name=key, eigenvalues=(c,))
     if key.startswith("rank1:"):
         expr = key.split(":", 1)[1]
         psi_raw = _parse_expr(expr)
@@ -285,49 +269,14 @@ def make_graphon(key: str, sparsity_exponent: float = 0.25) -> GraphonSpec:
         if norm_sq <= 0:
             raise UnknownGraphonError("rank1 expression must have positive L2 norm")
         scale = float(np.sqrt(norm_sq))
-        psi = lambda x: psi_raw(x) / scale  # noqa: E731
-        return rank_graphon(
-            eigenvalues=[norm_sq],
-            eigenfunctions=[psi],
-            sparsity_exponent=sparsity_exponent,
-            name=key,
-        )
+
+        def h(x, y):
+            # lam * psi(x) * psi(y) with psi = expr / ||expr||; seeded graphs depend on this order
+            total = norm_sq * (psi_raw(x) / scale) * (psi_raw(y) / scale)
+            return total if total.shape else float(total)
+
+        return GraphonSpec(h=h, rank_hint=1, name=key, eigenvalues=(norm_sq,))
     raise UnknownGraphonError(f"unknown graphon key {key!r}")
-
-
-def rank_graphon(
-    eigenvalues: Sequence[float],
-    eigenfunctions: Sequence[Callable],
-    sparsity_exponent: float = 0.25,
-    name: str = "rank-expansion",
-) -> GraphonSpec:
-    """Finite-rank graphon h(x, y) = sum_k lam_k psi_k(x) psi_k(y).
-
-    Eigenvalues must be nonzero and ordered by decreasing absolute value;
-    eigenfunctions are expected orthonormal on [0, 1], which is not checked.
-    """
-    lams = tuple(float(v) for v in eigenvalues)
-    psis = tuple(eigenfunctions)
-    if len(lams) != len(psis) or not lams:
-        raise ValueError("need matching, nonempty eigenvalue/eigenfunction sequences")
-    if any(v == 0 for v in lams):
-        raise ValueError("eigenvalues must be nonzero")
-    if list(np.abs(lams)) != sorted(np.abs(lams), reverse=True):
-        raise ValueError("eigenvalues must be ordered by decreasing |lambda|")
-
-    def h(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        total = sum(lam * psi(x) * psi(y) for lam, psi in zip(lams, psis))
-        return total if total.shape else float(total)
-
-    return GraphonSpec(
-        h=h,
-        sparsity_exponent=sparsity_exponent,
-        rank_hint=len(lams),
-        name=name,
-        eigenvalues=lams,
-    )
 
 
 # ---------------------------------------------------------------------------

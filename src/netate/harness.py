@@ -45,6 +45,7 @@ from .trial import (
     simulate_outcomes,
 )
 from .variance import (
+    LEVEL,
     confidence_interval,
     conservative_network_term,
     estimate_b,
@@ -219,14 +220,16 @@ def _resolve_method(method: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class _Settings:
-    """Tuning shared by every estimate: np trim quantile and overrides, CI level, polyseq stop."""
+    """The np tuning shared by every estimate: trim quantile alpha, h_band and b_trim overrides.
+
+    None derives h_band or b_trim from the data.  The interval level and the
+    polyseq stop rule are the library's (variance.LEVEL, variance_np_polyseq's
+    defaults).
+    """
 
     alpha: float
     h_band: float | None
     b_trim: float | None
-    level: float
-    max_degree: int
-    rel_tol: float
 
 
 @dataclass(frozen=True)
@@ -313,9 +316,7 @@ def _estimate_once(
         return result, rec
 
     if var == "polyseq":
-        report = variance_np_polyseq(
-            data, b_hat, (d1, d0), max_degree=settings.max_degree, rel_tol=settings.rel_tol
-        )
+        report = variance_np_polyseq(data, b_hat, (d1, d0))
     else:
         report = variance_reg(fit_data, linear_adjusted(fit_data), b_hat, d1, d0)
     c1, c2, c3, c4 = report.components
@@ -325,8 +326,8 @@ def _estimate_once(
     v_nonet = c1 + c2 + c3
     rec["components"] = (c1, c2, c3, c4)
 
-    lo, hi = confidence_interval(result.tau_hat, v, data.n, settings.level)
-    lo2, hi2 = confidence_interval(result.tau_hat, max(v_nonet, 0.0), data.n, settings.level)
+    lo, hi = confidence_interval(result.tau_hat, v, data.n)
+    lo2, hi2 = confidence_interval(result.tau_hat, max(v_nonet, 0.0), data.n)
     rec.update({"v": v, "lo": lo, "hi": hi, "v_nonet": v_nonet, "lo_nonet": lo2, "hi_nonet": hi2})
     return result, rec
 
@@ -444,8 +445,8 @@ def run_scenario(
     `methods` is a sequence of "estimator[:variance]" strings, e.g. "linear",
     "dim:conservative", "np".  `h_band` and `b_trim` override the np
     bandwidth and trim level; the trim quantile is the scenario's np_alpha.
-    Intervals are at level 0.95 and polyseq stops at degree 5 or relative
-    change 0.05.  For fixed-network scenarios n is the network size; the
+    Intervals are at variance.LEVEL, and polyseq stops by variance_np_polyseq's
+    defaults.  For fixed-network scenarios n is the network size; the
     spectral pieces of the variance are computed once and shared.
     Replicate failures are counted per method. A method that fails in more
     than 5% of replicates, every replicate included, raises
@@ -466,14 +467,7 @@ def run_scenario(
             shared_b = estimate_b(scenario.network)
             shared_spec = leading_eigenpairs(scenario.network, scenario.rank)
 
-    settings = _Settings(
-        alpha=scenario.np_alpha,
-        h_band=h_band,
-        b_trim=b_trim,
-        level=0.95,
-        max_degree=5,
-        rel_tol=0.05,
-    )
+    settings = _Settings(alpha=scenario.np_alpha, h_band=h_band, b_trim=b_trim)
     tasks = [
         _RepTask(
             scenario=scenario,
@@ -513,7 +507,7 @@ def run_scenario(
         tau_true=tau,
         reps=reps,
         seed=int(seed),
-        level=settings.level,
+        level=LEVEL,
         methods=summaries,
     )
 

@@ -37,12 +37,11 @@ Neither makes an n x n array.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import UnsupportedDimensionError
+from ._errors import UnsupportedDimensionError, warn_caller
 from .graphon import _quad
 
 __all__ = [
@@ -89,25 +88,20 @@ class KernelConfig:
             raise ValueError("trimming threshold must be positive")
         if math.isfinite(self.h_band) and self.h_band < self.b_trim:
             # a trim level above the bandwidth can discard most of the sample
-            warnings.warn(
+            warn_caller(
                 f"bandwidth {self.h_band:g} below trim threshold {self.b_trim:g}; "
-                f"trimming may discard much of the sample",
-                stacklevel=3,
+                f"trimming may discard much of the sample"
             )
 
 
-def _kernel_1d(q: int, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _kernel_1d(q: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The order-q kernel at every entry of t, written into `out`; q is one KernelConfig accepted.
 
-    With `out` given, t must be a float array of the same shape, and it may
-    be overwritten (orders 4 and 6 use it as scratch); without `out`, t is
-    copied and a fresh array returned.  Each operation is the one of the
+    t must be a float array of out's shape, and it may be overwritten
+    (orders 4 and 6 use it as scratch).  Each operation is the one of the
     closed form above, in the same order, so every entry, signed zeros
     included, is bit for bit what the whole-array expression gives.
     """
-    if out is None:
-        t = np.array(t, dtype=float)
-        out = np.empty_like(t)
     np.multiply(t, t, out=out)  # t^2
     if q == 2:
         # mask-free: (1 - t^2) clipped at 0 doubles as the support indicator
@@ -146,9 +140,9 @@ def kernel_moment(config: KernelConfig, multi_index) -> float:
         raise ValueError("exponents must be nonnegative")
     if len(exps) > config.p:
         raise ValueError("multi-index longer than the covariate dimension")
-    value = 1.0
+    value, k_t = 1.0, np.empty(1)
     for l in exps:
-        value *= _quad(lambda t, l=l: t**l * float(_kernel_1d(config.q, np.array([t]))[0]),
+        value *= _quad(lambda t, l=l: t**l * float(_kernel_1d(config.q, np.array([t]), k_t)[0]),
                        -1.0, 1.0, 1e-13, f"kernel moment of order {l}")
     return value
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._errors import EdgeListParseError, UnknownScenarioError
+from ._errors import EdgeListParseError, UnknownScenarioError, warn_caller
 from .graphon import Network, require_positive_degrees
 
 __all__ = [
@@ -457,7 +456,7 @@ def load_edge_list(
             ends += (i, j)
             counts.append(c if c < cap else cap)
     if self_loops:
-        warnings.warn(f"dropped {self_loops} self-loop row(s) from {path}", stacklevel=2)
+        warn_caller(f"dropped {self_loops} self-loop row(s) from {path}")
 
     ids, pairs = np.unique(np.array(ends, dtype=np.int64), return_inverse=True)
     n = ids.shape[0]

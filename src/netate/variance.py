@@ -38,8 +38,11 @@ __all__ = [
     "variance_np_polyseq",
     "DENSE_EIG_THRESHOLD",
     "LANCZOS_TOL",
+    "LEVEL",
 ]
 
+# the coverage of every interval the commands and tables report
+LEVEL = 0.95
 DENSE_EIG_THRESHOLD = 300
 # eigsh's relative accuracy goal on the Lanczos path (its default, 0, means
 # machine precision); leading_eigenpairs states what it guarantees
@@ -305,7 +308,7 @@ def variance_reg(
 
 
 def confidence_interval(
-    tau_hat: float, v_hat: float, n: int, level: float = 0.95
+    tau_hat: float, v_hat: float, n: int, level: float = LEVEL
 ) -> tuple[float, float]:
     """Symmetric normal interval tau_hat -+ z sqrt(v_hat / n)."""
     if v_hat < 0:

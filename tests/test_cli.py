@@ -184,6 +184,16 @@ def test_edge_ids_map_to_data_rows_by_rank(capsys, trial_files, tmp_path, method
     assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
 
+def test_self_loop_warning_names_the_caller(capsys, trial_files, tmp_path):
+    data_path, edges_path = trial_files
+    looped = tmp_path / "looped.csv"
+    looped.write_text(edges_path.read_text() + "0,0\n")
+    with pytest.warns(UserWarning, match="dropped 1 self-loop row") as record:
+        code, _, _ = _run(capsys, ["--data", str(data_path), "--pi", str(PI), "--edges", str(looped),
+                                   "--method", "dim", "--variance", "none"])
+    assert code == 0 and record[0].filename == __file__
+
+
 def test_np_builds_the_kernel_matrix_once(capsys, trial_files, monkeypatch):
     data_path, _ = trial_files
     calls = []

@@ -338,7 +338,8 @@ def test_nonparametric_infinite_bandwidth_equals_dim():
 
 def test_nonparametric_all_trimmed():
     data = np_data(n=50)
-    config = KernelConfig(q=2, p=1, h_band=0.5, b_trim=1e9)
+    with pytest.warns(UserWarning, match="below trim threshold"):
+        config = KernelConfig(q=2, p=1, h_band=0.5, b_trim=1e9)
     with pytest.raises(AllTrimmedError):
         nonparametric(data, config)
 

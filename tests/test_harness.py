@@ -84,6 +84,15 @@ def test_contact_scenario_rejects_missing_file_and_bad_period(tmp_path):
         get_scenario("contact-vaccine", period="evening")
 
 
+def test_self_loop_warning_names_the_caller(tmp_path):
+    # the warning skips get_scenario, contact_network and load_edge_list to name this file
+    path = tmp_path / "contacts.csv"
+    path.write_text("0,1,3\n1,2,3\n0,2,3\n1,1,4\n")
+    with pytest.warns(UserWarning, match="dropped 1 self-loop row") as record:
+        get_scenario("contact-vaccine", contacts_path=path)
+    assert record[0].filename == __file__
+
+
 def test_true_tau_pinned_against_oracle():
     for scenario, reps in ((get_scenario("sec31-validation", pi=0.6), 200_000),
                            (get_scenario("sec41-main", p=2), 200_000),
@@ -139,8 +148,11 @@ def test_pool_children_split_the_cores():
 
 def test_run_scenario_failure_reporting():
     s = get_scenario("sec41-main", p=1)
-    with pytest.raises(RuntimeError, match="AllTrimmed"):
-        run_scenario(s, 60, ("np:none",), reps=4, seed=3, b_trim=1e9)
+    # serial replicates: the trim warning names this file, not the library line that builds the config
+    with pytest.warns(UserWarning, match="below trim threshold") as record:
+        with pytest.raises(RuntimeError, match="AllTrimmed"):
+            run_scenario(s, 60, ("np:none",), reps=4, seed=3, b_trim=1e9)
+    assert record[0].filename == __file__
 
 
 def test_run_scenario_rejects_unknown_np_override():
@@ -215,7 +227,7 @@ def test_estimate_once_records_components_for_every_variance(method):
     z = rng.standard_normal((n, 1))
     w = (rng.random(n) < pi).astype(int)
     data = TrialData(Y=w + z[:, 0] ** 2 + rng.standard_normal(n), W=w, Z=z, pi=pi)
-    settings = _Settings(alpha=0.01, h_band=None, b_trim=None, level=0.95, max_degree=5, rel_tol=0.05)
+    settings = _Settings(alpha=0.01, h_band=None, b_trim=None)
     est, var = _resolve_method(method)
     result, rec = _estimate_once(settings, data, est, var, b_hat, d1, d0)
     c1, c2, c3, c4 = rec["components"]

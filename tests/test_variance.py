@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ def test_eigenpairs_invariants_on_random_graph():
 
 def test_eigenpairs_lanczos_path_matches_dense():
     # above the dense threshold the Lanczos branch must satisfy the same contract
-    spec_g = make_graphon("constant:0.6", sparsity_exponent=0.45)
+    spec_g = replace(make_graphon("constant:0.6"), sparsity_exponent=0.45)
     rng = rng_for(42)
     n = 2050
     net = sample_graph(spec_g, sample_latents(n, rng), rng)
@@ -324,7 +325,7 @@ def test_derivative_means_consistency_sparse_regime(monkeypatch):
     # analytic exposure-derivative contrast is 4 - 2 pi = 3 at pi = 0.5; the
     # balanced estimator approaches it as the graph sparsifies (rho -> 0)
     monkeypatch.setattr(netate.variance, "DENSE_EIG_THRESHOLD", 256)  # Lanczos keeps this fast
-    spec_g = make_graphon("paper-sec3", sparsity_exponent=0.45)
+    spec_g = replace(make_graphon("paper-sec3"), sparsity_exponent=0.45)
     scenario = get_scenario("sec31-validation", pi=0.5)
     vals = []
     for seed in range(30):
@@ -440,7 +441,6 @@ def test_polyseq_linear_truth_stabilizes_at_degree_one():
 
 def test_polyseq_infinite_tolerance_returns_degree_zero():
     data = linear_data(n=200, seed=4, noise=0.5)
-    from dataclasses import replace
 
     fit0 = linear_adjusted(replace(data, Z=np.empty((200, 0))))
     v0 = variance_reg(replace(data, Z=np.empty((200, 0))), fit0, 0.0, 0.0, 0.0).v_hat
@@ -455,7 +455,6 @@ def test_polyseq_singular_expansion_stops_gracefully():
     w = (rng.random(n) < 0.5).astype(int)
     data = TrialData(Y=rng.standard_normal(n), W=w, Z=Z, pi=0.5)
     got = variance_np_polyseq(data, 0.0, (0.0, 0.0), rel_tol=1e-9).v_hat
-    from dataclasses import replace
 
     fit0 = linear_adjusted(replace(data, Z=np.empty((n, 0))))
     v0 = variance_reg(replace(data, Z=np.empty((n, 0))), fit0, 0.0, 0.0, 0.0).v_hat
