@@ -11,7 +11,9 @@ p=5), run_scenario summaries (JSON plus raw estimates; only n=400 runs Lanczos) 
 with and without its overrides and of a contact file passed by path, their emit_report files,
 reproduce_table table1/table5 at budget 0.02, `netate estimate` (also np:polyseq with the np
 tuning overrides --h-band and --b-trim), and `netate simulate` with two `--graphon` overrides
-(constant:0.5, and a rank1: graphon, so its sampler is covered) and with the np tuning overrides.
+(constant:0.5, and a rank1: graphon, so its sampler is covered), with the np tuning overrides,
+and once with `--workers 2`, so the pool path is covered (its replicates run in the pool children,
+so `--values` records none of them, but it compares the summary).
 
 Where outputs may move in the last digits, list the numbers themselves and compare them:
 
@@ -56,16 +58,19 @@ VARIANCE_ORACLES = [("sec31-validation", {}, "Vreg", None), ("sec31-validation",
                     ("sec31-validation", {}, "Valpha", {"alpha1": [0.5], "alpha0": [-0.25]}),
                     ("sec41-main", {"p": 5}, "Vnp", None)]
 MULTI_INDICES = ([0], [1], [2], [4], [6], [2, 2], [3, 0, 4])
-# `netate simulate` runs: case name, then the flags before --reps
+# `netate simulate` runs: case name, the flags before --reps, and the worker count
 SIMULATIONS = [
     ("sec31-validation-constant:0.5", ["--scenario", "sec31-validation", "--n", "150", "--graphon",
-                                       "constant:0.5", "--methods", "linear,dim:conservative"]),
+                                       "constant:0.5", "--methods", "linear,dim:conservative"], 1),
     # a rank1: graphon, so its sampled graphs are digested and not only its eigenvalue
     ("sec31-validation-rank1:2+sin(6*x)", ["--scenario", "sec31-validation", "--n", "300", "--graphon",
-                                           "rank1:2+sin(6*x)", "--methods", "linear,dim:conservative"]),
+                                           "rank1:2+sin(6*x)", "--methods", "linear,dim:conservative"], 1),
     # np tuning overrides that trim some points but not all
     ("sec41-main-h0.8-b0.02", ["--scenario", "sec41-main", "--p", "1", "--n", "300", "--methods",
-                               "np,np:none", "--h-band", "0.8", "--b-trim", "0.02"]),
+                               "np,np:none", "--h-band", "0.8", "--b-trim", "0.02"], 1),
+    # the pool path, with an np method and both network variances
+    ("sec41-main-workers2", ["--scenario", "sec41-main", "--p", "1", "--n", "200", "--methods",
+                             "np,linear"], 2),
 ]
 ESTIMATES = [("dim", "spectral"), ("dim", "conservative"), ("linear", "spectral"),
              ("linear", "conservative"), ("linear", "none"), ("np", "polyseq"), ("np", "none")]
@@ -194,11 +199,11 @@ def run(listing: Listing) -> None:
         emit("estimate/np:polyseq-h0.9-b0.02", str(code).encode(), out.read_bytes(),
              numbers={"exit_code": code, "output": json.loads(out.read_text())})
 
-        for k, (case, argv) in enumerate(SIMULATIONS):
+        for k, (case, argv, workers) in enumerate(SIMULATIONS):
             out = root / f"simulate{k}"
             records.clear()
             with contextlib.redirect_stdout(io.StringIO()):  # the printed paths name the temp dir
-                code = cli_main(["simulate", *argv, "--reps", "10", "--seed", "7", "--workers", "1",
+                code = cli_main(["simulate", *argv, "--reps", "10", "--seed", "7", "--workers", str(workers),
                                  "--out", str(out)])
             emit(f"simulate/{case}", str(code).encode(),
                  *(f.name.encode() + f.read_bytes() for f in sorted(out.iterdir())),
