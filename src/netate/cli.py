@@ -40,15 +40,15 @@ def _cmd_estimate(args) -> int:
         print(f"error: --variance {args.variance} not available for --method {args.method}", file=sys.stderr)
         return 2
 
-    b_hat = d1 = d0 = 0.0
+    network_term = 0.0
     needs_network_term = variance in _NETWORK_VARIANCES
     if needs_network_term and network is not None:
         if args.rank is None:
             print("error: --rank is required with --edges for spectral/polyseq variance", file=sys.stderr)
             return 2
-        b_hat, d1, d0 = _network_term(network, args.rank, data)
+        network_term = _network_term(network, args.rank, data)
     settings = _Settings(alpha=args.alpha, h_band=args.h_band, b_trim=args.b_trim)
-    result, rec = _estimate_once(settings, data, est, variance, b_hat, d1, d0)
+    result, rec = _estimate_once(settings, data, est, variance, network_term)
 
     diagnostics = dict(result.diagnostics)
     if variance != "none":

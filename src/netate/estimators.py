@@ -115,16 +115,11 @@ def fixed_adjusted(data: TrialData, alpha1, alpha0) -> EstimateResult:
 
 
 def function_adjusted(data: TrialData, g1: Callable, g0: Callable) -> EstimateResult:
-    """Adjustment by arbitrary functions of z, recentered by their sample means."""
+    """Adjustment by functions g(Z) -> n values (or a scalar), recentered by their sample means."""
     treated, control = _groups(data)
 
     def evaluate(g, label):
-        try:
-            vals = np.asarray(g(data.Z), dtype=float)
-            if vals.shape != (data.n,):
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([float(g(z)) for z in data.Z])
+        vals = np.broadcast_to(np.asarray(g(data.Z), dtype=float), (data.n,))
         if not np.isfinite(vals).all():
             raise InvalidAdjustmentError(f"{label} returned a non-finite value")
         return vals
@@ -142,6 +137,14 @@ def _np_columns(data: TrialData) -> np.ndarray:
     """The (n, 5) right-hand side [1, w, 1 - w, Y w, Y (1 - w)] of the kernel sums."""
     w = data.W.astype(float)
     return np.column_stack([np.ones(data.n), w, 1.0 - w, data.Y * w, data.Y * (1.0 - w)])
+
+
+def _np_config(n: int, p: int, h_band: float | None, b_trim: float | None) -> KernelConfig:
+    """_np_tuning's order and bandwidth for n and p, with b_trim, or h if None (which cannot warn)."""
+    q = kernel_order_for_dimension(p)
+    a1 = 0.5 * p + 3 * q
+    h = float(h_band) if h_band is not None else (1.0 + 0.5 * p) * float(n) ** (-1.0 / a1)
+    return KernelConfig(q=q, p=p, h_band=h, b_trim=h if b_trim is None else float(b_trim))
 
 
 def _np_tuning(
@@ -162,14 +165,11 @@ def _np_tuning(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n, p = data.n, data.p
-    q = kernel_order_for_dimension(p)
-    a1 = 0.5 * p + 3 * q
-    h = float(h_band) if h_band is not None else (1.0 + 0.5 * p) * float(n) ** (-1.0 / a1)
-    # b_trim = h cannot trip the h < b_trim warning
-    config = KernelConfig(q=q, p=p, h_band=h, b_trim=h if b_trim is None else float(b_trim))
+    config = _np_config(n, p, h_band, b_trim)
     sums = weights_matrix(data.Z, config, rhs=_np_columns(data))
     if b_trim is not None:
         return config, sums
+    q, h = config.q, config.h_band
     a2 = (3.0 * p + 18.0 * q) / (q - 0.5 * p)
     p_hat = sums[:, 0] / (n * h**p)
     c2 = float(np.quantile(p_hat, alpha))

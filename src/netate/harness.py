@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -23,6 +24,7 @@ from ._blas import set_openblas_threads, usable_cores
 from ._errors import NetateError, ReplicateFailureError, UnknownScenarioError
 from .estimators import (
     EstimateResult,
+    _np_config,
     _np_tuning,
     difference_in_means,
     linear_adjusted,
@@ -246,15 +248,15 @@ class _RepTask:
 
 def _network_term(
     net: Network, rank: int, data: TrialData, b_hat: float | None = None, spectral=None
-) -> tuple[float, float, float]:
-    """(b_hat, d1, d0) of the network variance term; b_hat and spectral may be precomputed."""
+) -> float:
+    """The network term b_hat pi (1 - pi) (d1 - d0)^2; b_hat and spectral may be precomputed."""
     if b_hat is None:
         b_hat = estimate_b(net)
     if spectral is None:
         spectral = leading_eigenpairs(net, rank)
     weights = pc_balancing_weights(net, spectral, data.W, data.pi)
     d1, d0 = estimate_derivative_means(data, weights)
-    return b_hat, d1, d0
+    return b_hat * data.pi * (1.0 - data.pi) * (d1 - d0) ** 2
 
 
 def _run_replicate(task: _RepTask) -> dict:
@@ -272,31 +274,30 @@ def _run_replicate(task: _RepTask) -> dict:
     y = simulate_outcomes(scenario.outcome, w, exposures, draw, rng)
     data = TrialData(Y=y, W=w, Z=draw.Z, pi=scenario.pi)
 
-    b_hat = d1 = d0 = 0.0
+    network_term = 0.0
     if scenario.interference and any(var in _NETWORK_VARIANCES for _, var in task.methods):
-        b_hat, d1, d0 = _network_term(
-            net, scenario.rank, data, task.shared_b_hat, task.shared_spectral
-        )
+        network_term = _network_term(net, scenario.rank, data, task.shared_b_hat, task.shared_spectral)
 
     out: dict = {}
     for est, var in task.methods:
         key = f"{est}:{var}"
         try:
             # only the plain-float record goes back to the parent process
-            out[key] = _estimate_once(task.settings, data, est, var, b_hat, d1, d0)[1]
+            out[key] = _estimate_once(task.settings, data, est, var, network_term)[1]
         except NetateError as exc:
             out[key] = {"error": f"{type(exc).__name__}: {exc}"}
     return out
 
 
 def _estimate_once(
-    settings: _Settings, data: TrialData, est: str, var: str, b_hat, d1, d0
+    settings: _Settings, data: TrialData, est: str, var: str, network_term: float
 ) -> tuple[EstimateResult, dict]:
     """One estimate and its variance; returns the estimator's result and the replicate record.
 
-    The record holds tau and the kept count, and unless var is "none" the
-    variance v, its interval, and the same without the network term
-    (v_nonet) and the four components, whose last is the network term.
+    The conservative variance puts pi (1 - pi) 8 tau_hat^2 in place of the
+    given network term.  The record holds tau and the kept count, and unless
+    var is "none" the variance v, its interval, and the same without the
+    network term (v_nonet) and the four components, whose last is that term.
     """
     kept = None
     fit_data = data
@@ -315,16 +316,15 @@ def _estimate_once(
     if var == "none":
         return result, rec
 
-    if var == "polyseq":
-        report = variance_np_polyseq(data, b_hat, (d1, d0))
-    else:
-        report = variance_reg(fit_data, linear_adjusted(fit_data), b_hat, d1, d0)
-    c1, c2, c3, c4 = report.components
     if var == "conservative":
-        c4 = data.pi * (1.0 - data.pi) * conservative_network_term(result.tau_hat)
-    v = c1 + c2 + c3 + c4
-    v_nonet = c1 + c2 + c3
-    rec["components"] = (c1, c2, c3, c4)
+        network_term = data.pi * (1.0 - data.pi) * conservative_network_term(result.tau_hat)
+    if var == "polyseq":
+        report = variance_np_polyseq(data, network_term)
+    else:
+        report = variance_reg(fit_data, linear_adjusted(fit_data), network_term)
+    rec["components"] = report.components
+    c1, c2, c3, _ = report.components
+    v, v_nonet = report.v_hat, c1 + c2 + c3
 
     lo, hi = confidence_interval(result.tau_hat, v, data.n)
     lo2, hi2 = confidence_interval(result.tau_hat, max(v_nonet, 0.0), data.n)
@@ -423,11 +423,18 @@ def _aggregate(method: str, records: list[dict], tau: float, n: int) -> MethodSu
     )
 
 
+def _start_child(threads: int, filters: list) -> None:
+    set_openblas_threads(threads)
+    warnings.filters[:] = filters
+
+
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """A process pool whose children split the usable cores: each runs max(1, cores // workers)
-    threads in both bundled OpenBLAS copies, and the Lanczos products take that share too."""
+    threads in both bundled OpenBLAS copies, and the Lanczos products take that share too.
+    Each child warns by the filters in force here, which only a forked child would inherit."""
     share = max(1, usable_cores() // workers)
-    return ProcessPoolExecutor(max_workers=workers, initializer=set_openblas_threads, initargs=(share,))
+    return ProcessPoolExecutor(max_workers=workers, initializer=_start_child,
+                               initargs=(share, warnings.filters))
 
 
 def run_scenario(
@@ -448,6 +455,7 @@ def run_scenario(
     Intervals are at variance.LEVEL, and polyseq stops by variance_np_polyseq's
     defaults.  For fixed-network scenarios n is the network size; the
     spectral pieces of the variance are computed once and shared.
+    A b_trim above the bandwidth warns once, at the caller's line.
     Replicate failures are counted per method. A method that fails in more
     than 5% of replicates, every replicate included, raises
     ReplicateFailureError (a RuntimeError) quoting the count and the first
@@ -481,11 +489,17 @@ def run_scenario(
         )
         for rep in range(reps)
     ]
-    if workers > 1 and reps > 1:
-        with _worker_pool(workers) as pool:
-            results = list(pool.map(_run_replicate, tasks, chunksize=max(1, reps // (workers * 8))))
-    else:
-        results = [_run_replicate(t) for t in tasks]
+    with warnings.catch_warnings():
+        if b_trim is not None and any(est == "np" for est, _ in resolved):
+            # with b_trim given, h depends only on n, p and h_band: a trim above it warns here, at
+            # the caller's line, and not again in each replicate or pool child
+            _np_config(n, scenario.p, h_band, b_trim)
+            warnings.filterwarnings("ignore", "bandwidth .* below trim threshold", UserWarning)
+        if workers > 1 and reps > 1:
+            with _worker_pool(workers) as pool:
+                results = list(pool.map(_run_replicate, tasks, chunksize=max(1, reps // (workers * 8))))
+        else:
+            results = [_run_replicate(t) for t in tasks]
 
     tau = true_tau(scenario)
     summaries = {}
@@ -534,7 +548,8 @@ def theoretical_variance_oracle(
     plug-in statistic for a fixed network).  Returns the value with a
     standard error from 20 batches; mc_reps must be at least
     20 * max(50, p + 2), so that every batch has more draws than the p + 1
-    regression coefficients it fits.
+    regression coefficients it fits.  "Vg" calls params["g1"] and
+    params["g0"] as function_adjusted does, on a covariate matrix.
     """
     if formula not in _FORMULAS:
         raise ValueError(f"formula must be one of {_FORMULAS}")
@@ -596,8 +611,8 @@ def theoretical_variance_oracle(
         mix = (1.0 - pi) * (a1 - c1) + pi * (a0 - c0)
         v = (a1 - a0).var() + (mix * mix).mean() / (pi * (1.0 - pi)) + net
         if formula == "Vg":
-            h1 = np.asarray([float(params["g1"](zz)) for zz in z])
-            h0 = np.asarray([float(params["g0"](zz)) for zz in z])
+            h1 = np.broadcast_to(np.asarray(params["g1"](z), dtype=float), (idx.size,))
+            h0 = np.broadcast_to(np.asarray(params["g0"](z), dtype=float), (idx.size,))
             slack = (1.0 - pi) * (h1 - h1.mean() - c1 + a1.mean()) + pi * (h0 - h0.mean() - c0 + a0.mean())
             v += (slack * slack).mean() / (pi * (1.0 - pi))
         return v

@@ -60,10 +60,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray  # (r,)
     eigenvectors: np.ndarray  # (n, r), orthonormal columns
 
-    @property
-    def rank(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def residual_norms(self, network: Network) -> np.ndarray:
         """||A psi_k - lambda_k psi_k|| for each retained pair."""
         av = network.adjacency @ self.eigenvectors
@@ -71,7 +67,7 @@ class SpectralDecomposition:
 
     def operator_norm(self) -> float:
         """Spectral norm of the adjacency (largest retained |eigenvalue|)."""
-        return float(np.abs(self.eigenvalues[0])) if self.rank else 0.0
+        return float(np.abs(self.eigenvalues[0])) if self.eigenvalues.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -239,17 +235,15 @@ def _lanczos(adjacency, r: int, threads: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pc_balancing_weights(
-    network: Network,
-    spectral: SpectralDecomposition | None,
-    W: np.ndarray,
-    pi: float,
+    network: Network, spectral: SpectralDecomposition, W: np.ndarray, pi: float
 ) -> np.ndarray:
     """Exposure-contrast weights with the leading eigen-directions removed.
 
     Starts from v_i = M_i/pi - (N_i - M_i)/(1 - pi) and adds the eigenvector
     combination that zeroes every psi_k' w constraint; with orthonormal
     eigenvectors the coefficients are a_k = -psi_k' v in closed form, which
-    also makes the result invariant to eigenvector sign flips.
+    also makes the result invariant to eigenvector sign flips.  A
+    decomposition of rank 0 removes nothing: v - psi (psi' v) is v exactly.
     """
     require_positive_degrees(network)
     if not 0.0 < pi < 1.0:
@@ -257,8 +251,6 @@ def pc_balancing_weights(
     w = np.asarray(W, dtype=float)
     m = network.treated_neighbor_counts(w)
     v = m / pi - (network.degrees - m) / (1.0 - pi)
-    if spectral is None or spectral.rank == 0:
-        return v
     psi = spectral.eigenvectors
     return v - psi @ (psi.T @ v)
 
@@ -274,19 +266,15 @@ def estimate_derivative_means(data: TrialData, weights: np.ndarray) -> tuple[flo
     return d1, d0
 
 
-def variance_reg(
-    data: TrialData,
-    linear_fit: EstimateResult,
-    b_hat: float,
-    deriv1: float,
-    deriv0: float,
-) -> VarianceReport:
+def variance_reg(data: TrialData, linear_fit: EstimateResult, network_term: float) -> VarianceReport:
     """Assemble the four-component variance estimate for the adjusted estimator.
 
     Components: treated residual mean square over pi, control residual mean
     square over (1 - pi), slope-contrast quadratic form in the empirical
-    covariate covariance, and b_hat pi (1 - pi) (deriv1 - deriv0)^2, where
-    pi is the design probability data.pi.
+    covariate covariance (pi is the design probability data.pi), and the
+    network term as given: b_hat pi (1 - pi) (d1_hat - d0_hat)^2 for the
+    spectral and polyseq variances, pi (1 - pi) 8 tau_hat^2 for the
+    conservative one, 0 without interference.
     """
     beta1 = linear_fit.diagnostics.get("beta1")
     beta0 = linear_fit.diagnostics.get("beta0")
@@ -303,7 +291,7 @@ def variance_reg(
     zbar = data.Z.mean(axis=0)
     cov = data.Z.T @ data.Z / data.n - np.outer(zbar, zbar)
     c3 = float(d @ cov @ d)
-    c4 = float(b_hat * data.pi * (1.0 - data.pi) * (deriv1 - deriv0) ** 2)
+    c4 = float(network_term)
     return VarianceReport(v_hat=c1 + c2 + c3 + c4, components=(c1, c2, c3, c4))
 
 
@@ -338,15 +326,12 @@ def _poly_design(Z: np.ndarray, degree: int) -> np.ndarray:
 
 
 def variance_np_polyseq(
-    data: TrialData,
-    b_hat: float,
-    derivs: tuple[float, float],
-    max_degree: int = 5,
-    rel_tol: float = 0.05,
+    data: TrialData, network_term: float, max_degree: int = 5, rel_tol: float = 0.05
 ) -> VarianceReport:
     """Variance for the nonparametric estimator via growing polynomial fits.
 
-    Evaluates the four-component variance with per-coordinate monomials
+    Evaluates the four-component variance (variance_reg, with the same
+    network term at every degree) with per-coordinate monomials
     z_k, ..., z_k^d (no cross terms) for d = 0, 1, 2, ... and stops once the
     value stabilizes (relative change below rel_tol), the expansion becomes
     ill-conditioned, or max_degree is reached.  Returns the VarianceReport
@@ -355,7 +340,6 @@ def variance_np_polyseq(
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    deriv1, deriv0 = derivs
     reports: list[VarianceReport] = []
     for degree in range(max_degree + 1):
         expanded = replace(data, Z=_poly_design(data.Z, degree))
@@ -365,7 +349,7 @@ def variance_np_polyseq(
             if degree == 0:
                 raise
             break
-        reports.append(variance_reg(expanded, fit, b_hat, deriv1, deriv0))
+        reports.append(variance_reg(expanded, fit, network_term))
         if degree >= 1:
             prev, last = reports[-2].v_hat, reports[-1].v_hat
             if abs(last - prev) <= rel_tol * max(abs(prev), 1e-300):

@@ -85,21 +85,20 @@ def _expected(data, network, method, variance):
         result = nonparametric(data, config)
     if variance == "none":
         return result, None, None
-    b_hat = d1 = d0 = 0.0
+    # the network term, by its formula: b_hat pi (1 - pi) (d1 - d0)^2, or the conservative one
     if variance in ("spectral", "polyseq"):
         b_hat = estimate_b(network)
         weights = pc_balancing_weights(network, leading_eigenpairs(network, RANK), data.W, PI)
         d1, d0 = estimate_derivative_means(data, weights)
+        network_term = b_hat * PI * (1.0 - PI) * (d1 - d0) ** 2
+    else:
+        network_term = PI * (1.0 - PI) * conservative_network_term(result.tau_hat)
     if variance == "polyseq":
-        report = variance_np_polyseq(data, b_hat, (d1, d0))
-        v, components = report.v_hat, list(report.components)
+        report = variance_np_polyseq(data, network_term)
     else:
         fit_data = data if method == "linear" else replace(data, Z=np.empty((data.n, 0)))
-        components = list(variance_reg(fit_data, linear_adjusted(fit_data), b_hat, d1, d0).components)
-        if variance == "conservative":
-            components[3] = PI * (1.0 - PI) * conservative_network_term(result.tau_hat)
-        v = sum(components)
-    return result, v, components
+        report = variance_reg(fit_data, linear_adjusted(fit_data), network_term)
+    return result, report.v_hat, list(report.components)
 
 
 @pytest.mark.parametrize("method,variance", ALLOWED)
@@ -365,6 +364,18 @@ def test_simulate_too_many_failed_replicates_exits_2(capsys, tmp_path):
     out, err = capsys.readouterr()
     _assert_one_error_line(code, out, err, "method dim:spectral failed in 4/4 replicates; first: EmptyGroupError")
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_pool_warns_once_at_the_callers_line(tmp_path):
+    # with --workers 2 the trim warning is the parent's alone: no pool child prints it at a
+    # line of concurrent.futures
+    env = dict(os.environ, PYTHONPATH=str(Path(netate.__file__).parents[1]))
+    argv = ["simulate", "--scenario", "sec41-main", "--n", "60", "--methods", "np:none", "--reps", "4",
+            "--seed", "3", "--b-trim", "1e9", "--workers", "2", "--out", str(tmp_path / "out")]
+    probe = f"from netate.cli import main; raise SystemExit(main({argv!r}))"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    warned = [line for line in run.stderr.splitlines() if "below trim threshold" in line]
+    assert run.returncode == 2 and len(warned) == 1 and warned[0].startswith("<string>:1: UserWarning")
 
 
 @pytest.fixture(scope="module")

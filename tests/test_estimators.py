@@ -234,6 +234,21 @@ def test_function_rejects_non_finite():
         function_adjusted(data, lambda z: float("nan"), lambda z: 0.0)
 
 
+def test_function_sees_the_covariate_matrix_once():
+    data = make_data(n=40, p=2, seed=11)
+    shapes = []
+
+    def first_coordinate(z):
+        shapes.append(z.shape)
+        return z[:, 0]
+
+    function_adjusted(data, first_coordinate, first_coordinate)
+    assert shapes == [(40, 2), (40, 2)]
+    # (n, p) values do not broadcast to n values, and g is not retried row by row
+    with pytest.raises(ValueError):
+        function_adjusted(data, lambda z: z, first_coordinate)
+
+
 def test_function_with_true_conditional_means_beats_dim():
     # oracle adjustments remove the covariate signal: lower spread over reps
     scenario = get_scenario("sec41-main", p=1)

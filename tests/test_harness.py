@@ -146,13 +146,15 @@ def test_pool_children_split_the_cores():
         assert pool.submit(_child_openblas_threads).result(timeout=60) == (share, share, share)
 
 
-def test_run_scenario_failure_reporting():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_scenario_failure_reporting(workers):
     s = get_scenario("sec41-main", p=1)
-    # serial replicates: the trim warning names this file, not the library line that builds the config
+    # serial replicates or pool children: the trim warning is given once, and it names this file,
+    # not the library line that builds the config or a line of concurrent.futures
     with pytest.warns(UserWarning, match="below trim threshold") as record:
         with pytest.raises(RuntimeError, match="AllTrimmed"):
-            run_scenario(s, 60, ("np:none",), reps=4, seed=3, b_trim=1e9)
-    assert record[0].filename == __file__
+            run_scenario(s, 60, ("np:none",), reps=4, seed=3, b_trim=1e9, workers=workers)
+    assert [r.filename for r in record] == [__file__]
 
 
 def test_run_scenario_rejects_unknown_np_override():
@@ -169,13 +171,13 @@ def test_run_scenario_counts_rare_failures(monkeypatch):
     original = hz._estimate_once
     calls = {"k": 0}
 
-    def flaky(task, data, est, var, b_hat, d1, d0):
+    def flaky(task, data, est, var, network_term):
         calls["k"] += 1
         if calls["k"] == 1:
             from netate._errors import EmptyGroupError
 
             raise EmptyGroupError("synthetic failure")
-        return original(task, data, est, var, b_hat, d1, d0)
+        return original(task, data, est, var, network_term)
 
     monkeypatch.setattr(hz, "_estimate_once", flaky)
     s = get_scenario("sec31-validation")
@@ -192,13 +194,13 @@ def test_run_scenario_raises_above_failure_threshold(monkeypatch):
     original = hz._estimate_once
     calls = {"k": 0}
 
-    def flaky(task, data, est, var, b_hat, d1, d0):
+    def flaky(task, data, est, var, network_term):
         calls["k"] += 1
         if calls["k"] <= 3:
             from netate._errors import EmptyGroupError
 
             raise EmptyGroupError("synthetic failure")
-        return original(task, data, est, var, b_hat, d1, d0)
+        return original(task, data, est, var, network_term)
 
     monkeypatch.setattr(hz, "_estimate_once", flaky)
     s = get_scenario("sec31-validation")
@@ -219,26 +221,61 @@ def test_interference_toggle_drops_network_term():
     assert ms.coverage == ms.coverage_nonet
 
 
+def test_network_term_against_its_oracle(monkeypatch):
+    # the replicates' network term c4 = b_hat pi (1 - pi) (d1_hat - d0_hat)^2 against the oracle's
+    # (V at the scenario minus V without interference, on the same draws), on one cell each of
+    # Table 1 and Table 3: c4 is over-dispersed on Table 1 (its SD exceeds the term itself) and
+    # biased upward on Table 3 (at p = 5 the noise in Y inflates the squared contrast)
+    import netate.harness as hz
+
+    terms = []
+    network_term = hz._network_term
+
+    def recording(*args):
+        terms.append(network_term(*args))
+        return terms[-1]
+
+    monkeypatch.setattr(hz, "_network_term", recording)
+
+    def c4_and_oracle(scenario, method, formula, reps):
+        terms.clear()
+        run_scenario(scenario, 300, (method,), reps=reps, seed=20240)
+        with_net, without = (
+            theoretical_variance_oracle(s, formula, 200_000, rng_for(57)).value
+            for s in (scenario, replace(scenario, interference=False))
+        )
+        return np.array(terms), with_net - without
+
+    # here: mean 3.39 (SE 0.35), SD 5.01, against an oracle term of 2.76
+    c4, oracle = c4_and_oracle(get_scenario("sec31-validation"), "linear:spectral", "Vreg", 200)
+    assert c4.size == 200 and c4.std(ddof=1) > oracle
+    # here: mean 10.8 (SE 1.5, so 7.0 SE above), SD 15.2, against an oracle term of 0.259
+    c4, oracle = c4_and_oracle(get_scenario("sec41-main", p=5), "np:polyseq", "Vnp", 100)
+    assert c4.size == 100 and c4.mean() - oracle > 4 * c4.std(ddof=1) / math.sqrt(c4.size)
+
+
 @pytest.mark.parametrize("method", ["np:polyseq", "linear:spectral", "linear:conservative", "dim:spectral"])
 def test_estimate_once_records_components_for_every_variance(method):
-    # one variance assembly: every method's record splits v into four components
+    # one variance assembly: every method's record splits v into four components, the last the
+    # network term as given (the conservative one in its place), added once
     rng = rng_for(52)
-    n, pi, b_hat, d1, d0 = 300, 0.5, 0.7, 1.3, 0.4
+    n, pi = 300, 0.5
+    network_term = 0.7 * pi * (1.0 - pi) * (1.3 - 0.4) ** 2
     z = rng.standard_normal((n, 1))
     w = (rng.random(n) < pi).astype(int)
     data = TrialData(Y=w + z[:, 0] ** 2 + rng.standard_normal(n), W=w, Z=z, pi=pi)
     settings = _Settings(alpha=0.01, h_band=None, b_trim=None)
     est, var = _resolve_method(method)
-    result, rec = _estimate_once(settings, data, est, var, b_hat, d1, d0)
+    result, rec = _estimate_once(settings, data, est, var, network_term)
     c1, c2, c3, c4 = rec["components"]
     assert rec["v"] == c1 + c2 + c3 + c4
     assert rec["v_nonet"] == c1 + c2 + c3
     if var == "conservative":
         assert c4 == pi * (1.0 - pi) * conservative_network_term(result.tau_hat)
     else:
-        assert c4 == pytest.approx(b_hat * pi * (1.0 - pi) * (d1 - d0) ** 2, rel=1e-15)
+        assert c4 == network_term
     if var == "polyseq":
-        report = variance_np_polyseq(data, b_hat, (d1, d0))
+        report = variance_np_polyseq(data, network_term)
         assert rec["components"] == report.components and rec["v"] == report.v_hat
 
 
@@ -311,9 +348,9 @@ def test_oracle_vnp_lower_bounds_vg():
     s = get_scenario("sec41-main", p=1)
     vnp = theoretical_variance_oracle(s, "Vnp", 150_000, rng_for(55))
     for g1, g0 in (
-        (lambda z: math.sin(z[0]), lambda z: math.cos(z[0])),
+        (lambda z: np.sin(z[:, 0]), lambda z: np.cos(z[:, 0])),
         (lambda z: 0.0, lambda z: 0.0),
-        (lambda z: abs(z[0]), lambda z: z[0] ** 2 / (1 + z[0] ** 2)),
+        (lambda z: np.abs(z[:, 0]), lambda z: z[:, 0] ** 2 / (1 + z[:, 0] ** 2)),
     ):
         vg = theoretical_variance_oracle(
             s, "Vg", 150_000, rng_for(55), params={"g1": g1, "g0": g0}

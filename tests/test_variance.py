@@ -272,10 +272,15 @@ def test_eigenpairs_rank_bounds():
 # balancing weights and derivative means
 # ---------------------------------------------------------------------------
 
+def rank_zero(n):
+    """A decomposition that keeps no eigen-direction, so the weights remove none."""
+    return SpectralDecomposition(eigenvalues=np.empty(0), eigenvectors=np.empty((n, 0)))
+
+
 def test_pc_weights_no_balancing_is_raw_contrast():
     net = complete_graph(5)
     w = np.array([1, 0, 0, 1, 0])
-    v = pc_balancing_weights(net, None, w, 0.4)
+    v = pc_balancing_weights(net, rank_zero(5), w, 0.4)
     m = net.treated_neighbor_counts(w)
     expected = m / 0.4 - (net.degrees - m) / 0.6
     assert (v == expected).all()
@@ -288,7 +293,7 @@ def test_pc_weights_unit_vector_basis():
     e1[0, 0] = 1.0
     dec = SpectralDecomposition(eigenvalues=np.array([1.0]), eigenvectors=e1)
     out = pc_balancing_weights(net, dec, w, 0.5)
-    v = pc_balancing_weights(net, None, w, 0.5)
+    v = pc_balancing_weights(net, rank_zero(4), w, 0.5)
     assert out[0] == 0.0
     assert (out[1:] == v[1:]).all()
 
@@ -312,11 +317,11 @@ def test_pc_weights_constraint_and_sign_invariance():
 def test_derivative_means_trivial_cases():
     net = complete_graph(4)
     w = np.array([1, 1, 0, 1])
-    wt = pc_balancing_weights(net, None, w, 0.5)
+    wt = pc_balancing_weights(net, rank_zero(4), w, 0.5)
     data = TrialData(Y=np.zeros(4), W=w, Z=np.zeros((4, 0)), pi=0.5)
     assert estimate_derivative_means(data, wt) == (0.0, 0.0)
     all_treated = TrialData(Y=np.ones(4), W=np.ones(4, dtype=int), Z=np.zeros((4, 0)), pi=0.5)
-    wt2 = pc_balancing_weights(net, None, np.ones(4), 0.5)
+    wt2 = pc_balancing_weights(net, rank_zero(4), np.ones(4), 0.5)
     d1, d0 = estimate_derivative_means(all_treated, wt2)
     assert d0 == 0.0
 
@@ -359,23 +364,27 @@ def linear_data(n=150, seed=0, noise=0.0, equal_slopes=False):
 
 
 def test_variance_reg_no_interference_reduction():
+    # without interference the network term is 0 and the variance is the first three components;
+    # a term given is the fourth component, added once
     data = linear_data(noise=0.5)
     fit = linear_adjusted(data)
-    rep = variance_reg(data, fit, b_hat=0.0, deriv1=1.3, deriv0=0.7)
-    assert rep.components[3] == 0.0
-    rep2 = variance_reg(data, fit, b_hat=2.0, deriv1=0.9, deriv0=0.9)
-    assert rep2.components[3] == 0.0
+    rep = variance_reg(data, fit, 0.0)
+    c1, c2, c3, c4 = rep.components
+    assert c4 == 0.0 and rep.v_hat == c1 + c2 + c3
+    rep2 = variance_reg(data, fit, 0.75)
+    assert rep2.components == (c1, c2, c3, 0.75) and rep2.v_hat == c1 + c2 + c3 + 0.75
 
 
 def test_variance_reg_noiseless_equal_slopes_leaves_network_term():
     data = linear_data(noise=0.0, equal_slopes=True)
     fit = linear_adjusted(data)
-    rep = variance_reg(data, fit, b_hat=1.5, deriv1=2.0, deriv0=-1.0)
+    network_term = 1.5 * 0.25 * 9.0  # b_hat pi (1 - pi) (d1 - d0)^2 with d1 - d0 = 3
+    rep = variance_reg(data, fit, network_term)
     c1, c2, c3, c4 = rep.components
     assert c1 == pytest.approx(0.0, abs=1e-18)
     assert c2 == pytest.approx(0.0, abs=1e-18)
     assert c3 == pytest.approx(0.0, abs=1e-20)
-    assert c4 == pytest.approx(1.5 * 0.25 * 9.0, rel=1e-12)
+    assert c4 == network_term
     assert rep.v_hat == pytest.approx(c4, rel=1e-9)
 
 
@@ -383,7 +392,7 @@ def test_variance_reg_components_nonnegative():
     for seed in range(10):
         data = linear_data(seed=seed, noise=1.0)
         fit = linear_adjusted(data)
-        rep = variance_reg(data, fit, b_hat=1.0, deriv1=0.3, deriv0=-0.2)
+        rep = variance_reg(data, fit, 1.0 * 0.25 * 0.5**2)
         assert rep.components[0] >= 0 and rep.components[1] >= 0
         assert rep.components[2] >= -1e-15 and rep.components[3] >= 0
 
@@ -434,8 +443,8 @@ def test_conservative_network_term():
 def test_polyseq_linear_truth_stabilizes_at_degree_one():
     data = linear_data(n=800, seed=3, noise=0.5)
     fit = linear_adjusted(data)
-    v1 = variance_reg(data, fit, 0.0, 0.0, 0.0).v_hat
-    got = variance_np_polyseq(data, 0.0, (0.0, 0.0), max_degree=4, rel_tol=0.05).v_hat
+    v1 = variance_reg(data, fit, 0.0).v_hat
+    got = variance_np_polyseq(data, 0.0, max_degree=4, rel_tol=0.05).v_hat
     assert got == pytest.approx(v1, rel=0.06)
 
 
@@ -443,8 +452,8 @@ def test_polyseq_infinite_tolerance_returns_degree_zero():
     data = linear_data(n=200, seed=4, noise=0.5)
 
     fit0 = linear_adjusted(replace(data, Z=np.empty((200, 0))))
-    v0 = variance_reg(replace(data, Z=np.empty((200, 0))), fit0, 0.0, 0.0, 0.0).v_hat
-    got = variance_np_polyseq(data, 0.0, (0.0, 0.0), rel_tol=math.inf).v_hat
+    v0 = variance_reg(replace(data, Z=np.empty((200, 0))), fit0, 0.0).v_hat
+    got = variance_np_polyseq(data, 0.0, rel_tol=math.inf).v_hat
     assert got == v0
 
 
@@ -454,18 +463,18 @@ def test_polyseq_singular_expansion_stops_gracefully():
     Z = np.column_stack([np.full(n, 2.0)])  # constant column: degree-1 design singular
     w = (rng.random(n) < 0.5).astype(int)
     data = TrialData(Y=rng.standard_normal(n), W=w, Z=Z, pi=0.5)
-    got = variance_np_polyseq(data, 0.0, (0.0, 0.0), rel_tol=1e-9).v_hat
+    got = variance_np_polyseq(data, 0.0, rel_tol=1e-9).v_hat
 
     fit0 = linear_adjusted(replace(data, Z=np.empty((n, 0))))
-    v0 = variance_reg(replace(data, Z=np.empty((n, 0))), fit0, 0.0, 0.0, 0.0).v_hat
+    v0 = variance_reg(replace(data, Z=np.empty((n, 0))), fit0, 0.0).v_hat
     assert got == v0
 
 
 def test_polyseq_network_term_added():
     data = linear_data(n=300, seed=6, noise=0.5)
-    base = variance_np_polyseq(data, 0.0, (0.0, 0.0), rel_tol=0.05).v_hat
-    with_net = variance_np_polyseq(data, 2.0, (1.5, 0.5), rel_tol=0.05).v_hat
-    assert with_net == pytest.approx(base + 2.0 * 0.25 * 1.0, rel=1e-9)
+    base = variance_np_polyseq(data, 0.0, rel_tol=0.05).v_hat
+    with_net = variance_np_polyseq(data, 0.5, rel_tol=0.05).v_hat
+    assert with_net == pytest.approx(base + 0.5, rel=1e-9)
 
 
 def test_polyseq_coverage_smooth_scenario():
