@@ -12,8 +12,9 @@ with and without its overrides and of a contact file passed by path, their emit_
 reproduce_table table1/table5 at budget 0.02, `netate estimate` (also np:polyseq with the np
 tuning overrides --h-band and --b-trim), and `netate simulate` with two `--graphon` overrides
 (constant:0.5, and a rank1: graphon, so its sampler is covered), with the np tuning overrides,
-and once with `--workers 2`, so the pool path is covered (its replicates run in the pool children,
-so `--values` records none of them, but it compares the summary).
+and twice with `--workers 2`, once with `--b-trim`, so the pool path is covered with the trim level
+derived and given (its replicates run in the pool children, so `--values` records none of them,
+but it compares the summary).
 
 Where outputs may move in the last digits, list the numbers themselves and compare them:
 
@@ -71,6 +72,9 @@ SIMULATIONS = [
     # the pool path, with an np method and both network variances
     ("sec41-main-workers2", ["--scenario", "sec41-main", "--p", "1", "--n", "200", "--methods",
                              "np,linear"], 2),
+    # the pool path with a given trim level, so the children run the np config built in the parent
+    ("sec41-main-workers2-b0.02", ["--scenario", "sec41-main", "--p", "1", "--n", "200", "--methods",
+                                   "np,np:none", "--b-trim", "0.02"], 2),
 ]
 ESTIMATES = [("dim", "spectral"), ("dim", "conservative"), ("linear", "spectral"),
              ("linear", "conservative"), ("linear", "none"), ("np", "polyseq"), ("np", "none")]
@@ -123,8 +127,8 @@ def run(listing: Listing) -> None:
     records: list[dict] = []  # per-replicate records of the run_scenario calls since the last clear
     estimate_once = harness._estimate_once
 
-    def recording(settings, data, est, var, *rest):
-        result, rec = estimate_once(settings, data, est, var, *rest)
+    def recording(tuning, data, est, var, *rest):
+        result, rec = estimate_once(tuning, data, est, var, *rest)
         records.append({f"{est}:{var}": {**rec, **result.diagnostics}})
         return result, rec
 
