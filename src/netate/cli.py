@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
 from ._errors import InvalidVarianceError, NetateError, QuadratureError
+from .estimators import _np_config
 from .graphon import make_graphon
 from .harness import (
     _NETWORK_VARIANCES,
@@ -17,7 +17,6 @@ from .harness import (
     _estimate_once,
     _network_term,
     _resolve_method,
-    _Settings,
     emit_report,
     get_scenario,
     reproduce_table,
@@ -39,6 +38,7 @@ def _cmd_estimate(args) -> int:
     except ValueError:
         print(f"error: --variance {args.variance} not available for --method {args.method}", file=sys.stderr)
         return 2
+    tuning = _np_config(data.n, data.p, args.alpha, args.h_band, args.b_trim) if est == "np" else None
 
     network_term = 0.0
     needs_network_term = variance in _NETWORK_VARIANCES
@@ -47,8 +47,7 @@ def _cmd_estimate(args) -> int:
             print("error: --rank is required with --edges for spectral/polyseq variance", file=sys.stderr)
             return 2
         network_term = _network_term(network, args.rank, data)
-    settings = _Settings(alpha=args.alpha, h_band=args.h_band, b_trim=args.b_trim)
-    result, rec = _estimate_once(settings, data, est, variance, network_term)
+    result, rec = _estimate_once(tuning, data, est, variance, network_term)
 
     diagnostics = dict(result.diagnostics)
     if variance != "none":
@@ -164,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--methods", default="dim,linear,np")
     sim.add_argument("--reps", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--workers", type=int, default=os.environ.get("NETATE_WORKERS", "1"))
+    sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--alpha", type=float)
     sim.add_argument("--h-band", type=float)
     sim.add_argument("--b-trim", type=float)
@@ -176,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--table", required=True, choices=TABLE_IDS)
     rep.add_argument("--budget", type=float, default=1.0, help="fraction of the full 1000 reps")
     rep.add_argument("--seed", type=int, default=20240)
-    rep.add_argument("--workers", type=int, default=os.environ.get("NETATE_WORKERS", "1"))
+    rep.add_argument("--workers", type=int, default=1)
     rep.add_argument("--out", help="directory for report.json")
     rep.add_argument("--contacts-morning", help="contact CSV replacing the bundled morning network")
     rep.add_argument("--contacts-midday", help="contact CSV replacing the bundled midday network")

@@ -139,37 +139,46 @@ def _np_columns(data: TrialData) -> np.ndarray:
     return np.column_stack([np.ones(data.n), w, 1.0 - w, data.Y * w, data.Y * (1.0 - w)])
 
 
-def _np_config(n: int, p: int, h_band: float | None, b_trim: float | None) -> KernelConfig:
-    """_np_tuning's order and bandwidth for n and p, with b_trim, or h if None (which cannot warn)."""
-    q = kernel_order_for_dimension(p)
-    a1 = 0.5 * p + 3 * q
-    h = float(h_band) if h_band is not None else (1.0 + 0.5 * p) * float(n) ** (-1.0 / a1)
-    return KernelConfig(q=q, p=p, h_band=h, b_trim=h if b_trim is None else float(b_trim))
+def _np_config(
+    n: int, p: int, alpha: float, h_band: float | None, b_trim: float | None
+) -> tuple[KernelConfig, float | None]:
+    """A run's np tuning at sample size n and dimension p: its KernelConfig, and alpha or None.
 
-
-def _np_tuning(
-    data: TrialData, alpha: float, h_band: float | None = None, b_trim: float | None = None
-) -> tuple[KernelConfig, np.ndarray]:
-    """The kernel estimator's KernelConfig from the plug-in rule, and its sums K @ _np_columns(data).
-
-    q follows the dimension map; the bandwidth is (1 + p/2) n^(-1/a1) with
-    a1 = p/2 + 3q; the trim level is C2 n^(-1/a2) with
-    a2 = (3p + 18q)/(q - p/2) and C2 the alpha-quantile of the density
-    estimates at the sample points.  Either tuning value can be overridden.
-
-    The sums are computed once, whether or not b_trim is given, and their
-    column 0 is the unscaled density estimate that the trim level needs.
-    They come from weights_matrix, which makes no (n, n) array and reads no
-    trim level.
+    The order q and the bandwidth (1 + p/2) n^(-1/a1), a1 = p/2 + 3q, or
+    h_band, depend on n and p alone, so a run builds them once, before any
+    estimate: an unsupported p or an alpha outside (0, 1) fails here, and a
+    given b_trim above h warns here, at the caller's line, and comes back
+    with alpha None.  Without b_trim the config holds h in its place (which
+    cannot warn), and _np_tuning derives the trim level from each dataset.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    n, p = data.n, data.p
-    config = _np_config(n, p, h_band, b_trim)
+    q = kernel_order_for_dimension(p)
+    a1 = 0.5 * p + 3 * q
+    h = float(h_band) if h_band is not None else (1.0 + 0.5 * p) * float(n) ** (-1.0 / a1)
+    config = KernelConfig(q=q, p=p, h_band=h, b_trim=h if b_trim is None else float(b_trim))
+    return config, alpha if b_trim is None else None
+
+
+def _np_tuning(
+    data: TrialData, config: KernelConfig, alpha: float | None
+) -> tuple[KernelConfig, np.ndarray]:
+    """The kernel estimator's KernelConfig for `data`, and its sums K @ _np_columns(data).
+
+    `config` and `alpha` are the run's, from _np_config.  With alpha None
+    the config is used as given.  Otherwise the trim level is C2 n^(-1/a2)
+    with a2 = (3p + 18q)/(q - p/2) and C2 the alpha-quantile of the
+    density estimates at the sample points; the config that carries it is
+    built here, per dataset, and warns here if it exceeds h.
+
+    The sums are computed once either way, and their column 0 is the
+    unscaled density estimate that the trim level needs.  They come from
+    weights_matrix, which makes no (n, n) array and reads no trim level.
+    """
     sums = weights_matrix(data.Z, config, rhs=_np_columns(data))
-    if b_trim is not None:
+    if alpha is None:
         return config, sums
-    q, h = config.q, config.h_band
+    n, p, q, h = data.n, config.p, config.q, config.h_band
     a2 = (3.0 * p + 18.0 * q) / (q - 0.5 * p)
     p_hat = sums[:, 0] / (n * h**p)
     c2 = float(np.quantile(p_hat, alpha))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -31,6 +30,7 @@ from .estimators import (
     nonparametric,
 )
 from .graphon import GraphonSpec, Network, graphon_b, make_graphon, sample_graph, sample_latents
+from .kernels import KernelConfig
 from .trial import (
     MonteCarloValue,
     OutcomeModel,
@@ -221,27 +221,13 @@ def _resolve_method(method: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Settings:
-    """The np tuning shared by every estimate: trim quantile alpha, h_band and b_trim overrides.
-
-    None derives h_band or b_trim from the data.  The interval level and the
-    polyseq stop rule are the library's (variance.LEVEL, variance_np_polyseq's
-    defaults).
-    """
-
-    alpha: float
-    h_band: float | None
-    b_trim: float | None
-
-
-@dataclass(frozen=True)
 class _RepTask:
     scenario: Scenario
     n: int
     methods: tuple[tuple[str, str], ...]
     seed: int
     rep: int
-    settings: _Settings
+    tuning: tuple[KernelConfig, float | None] | None  # _np_config's, None without an np method
     shared_b_hat: float | None
     shared_spectral: object | None
 
@@ -283,16 +269,18 @@ def _run_replicate(task: _RepTask) -> dict:
         key = f"{est}:{var}"
         try:
             # only the plain-float record goes back to the parent process
-            out[key] = _estimate_once(task.settings, data, est, var, network_term)[1]
+            out[key] = _estimate_once(task.tuning, data, est, var, network_term)[1]
         except NetateError as exc:
             out[key] = {"error": f"{type(exc).__name__}: {exc}"}
     return out
 
 
 def _estimate_once(
-    settings: _Settings, data: TrialData, est: str, var: str, network_term: float
+    tuning: tuple[KernelConfig, float | None] | None, data: TrialData, est: str, var: str, network_term: float
 ) -> tuple[EstimateResult, dict]:
     """One estimate and its variance; returns the estimator's result and the replicate record.
+
+    `tuning` is the run's (KernelConfig, alpha) from _np_config; only np reads it.
 
     The conservative variance puts pi (1 - pi) 8 tau_hat^2 in place of the
     given network term.  The record holds tau and the kept count, and unless
@@ -308,7 +296,7 @@ def _estimate_once(
     elif est == "linear":
         result = linear_adjusted(data)
     else:
-        config, sums = _np_tuning(data, settings.alpha, settings.h_band, settings.b_trim)
+        config, sums = _np_tuning(data, *tuning)
         result = nonparametric(data, config, sums=sums)
         kept = result.diagnostics["kept"]
 
@@ -423,18 +411,11 @@ def _aggregate(method: str, records: list[dict], tau: float, n: int) -> MethodSu
     )
 
 
-def _start_child(threads: int, filters: list) -> None:
-    set_openblas_threads(threads)
-    warnings.filters[:] = filters
-
-
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """A process pool whose children split the usable cores: each runs max(1, cores // workers)
-    threads in both bundled OpenBLAS copies, and the Lanczos products take that share too.
-    Each child warns by the filters in force here, which only a forked child would inherit."""
+    threads in both bundled OpenBLAS copies, and the Lanczos products take that share too."""
     share = max(1, usable_cores() // workers)
-    return ProcessPoolExecutor(max_workers=workers, initializer=_start_child,
-                               initargs=(share, warnings.filters))
+    return ProcessPoolExecutor(max_workers=workers, initializer=set_openblas_threads, initargs=(share,))
 
 
 def run_scenario(
@@ -452,10 +433,14 @@ def run_scenario(
     `methods` is a sequence of "estimator[:variance]" strings, e.g. "linear",
     "dim:conservative", "np".  `h_band` and `b_trim` override the np
     bandwidth and trim level; the trim quantile is the scenario's np_alpha.
+    With an np method the kernel order, the bandwidth and a given trim level
+    are built once, before the first replicate (estimators._np_config), so an
+    unsupported p raises there, and a b_trim above the bandwidth warns once,
+    at the caller's line; a trim level derived from a replicate's data is
+    built, and may warn, in that replicate.
     Intervals are at variance.LEVEL, and polyseq stops by variance_np_polyseq's
     defaults.  For fixed-network scenarios n is the network size; the
     spectral pieces of the variance are computed once and shared.
-    A b_trim above the bandwidth warns once, at the caller's line.
     Replicate failures are counted per method. A method that fails in more
     than 5% of replicates, every replicate included, raises
     ReplicateFailureError (a RuntimeError) quoting the count and the first
@@ -469,13 +454,15 @@ def run_scenario(
     if scenario.network is not None:
         n = scenario.network.n
 
+    tuning = None
+    if any(est == "np" for est, _ in resolved):
+        tuning = _np_config(n, scenario.p, scenario.np_alpha, h_band, b_trim)
     shared_b = shared_spec = None
     if scenario.network is not None and scenario.interference:
         if any(v in _NETWORK_VARIANCES for _, v in resolved):
             shared_b = estimate_b(scenario.network)
             shared_spec = leading_eigenpairs(scenario.network, scenario.rank)
 
-    settings = _Settings(alpha=scenario.np_alpha, h_band=h_band, b_trim=b_trim)
     tasks = [
         _RepTask(
             scenario=scenario,
@@ -483,23 +470,17 @@ def run_scenario(
             methods=resolved,
             seed=int(seed),
             rep=rep,
-            settings=settings,
+            tuning=tuning,
             shared_b_hat=shared_b,
             shared_spectral=shared_spec,
         )
         for rep in range(reps)
     ]
-    with warnings.catch_warnings():
-        if b_trim is not None and any(est == "np" for est, _ in resolved):
-            # with b_trim given, h depends only on n, p and h_band: a trim above it warns here, at
-            # the caller's line, and not again in each replicate or pool child
-            _np_config(n, scenario.p, h_band, b_trim)
-            warnings.filterwarnings("ignore", "bandwidth .* below trim threshold", UserWarning)
-        if workers > 1 and reps > 1:
-            with _worker_pool(workers) as pool:
-                results = list(pool.map(_run_replicate, tasks, chunksize=max(1, reps // (workers * 8))))
-        else:
-            results = [_run_replicate(t) for t in tasks]
+    if workers > 1 and reps > 1:
+        with _worker_pool(workers) as pool:
+            results = list(pool.map(_run_replicate, tasks, chunksize=max(1, reps // (workers * 8))))
+    else:
+        results = [_run_replicate(t) for t in tasks]
 
     tau = true_tau(scenario)
     summaries = {}

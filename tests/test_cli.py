@@ -37,7 +37,7 @@ from netate import (
     variance_np_polyseq,
     variance_reg,
 )
-from netate.cli import build_parser, main
+from netate.cli import main
 
 from conftest import rng_for
 
@@ -81,7 +81,8 @@ def _expected(data, network, method, variance):
     elif method == "linear":
         result = linear_adjusted(data)
     else:
-        config, _ = estimators_module._np_tuning(data, 0.01)
+        tuning = estimators_module._np_config(data.n, data.p, 0.01, None, None)
+        config, _ = estimators_module._np_tuning(data, *tuning)
         result = nonparametric(data, config)
     if variance == "none":
         return result, None, None
@@ -207,20 +208,6 @@ def test_np_builds_the_kernel_matrix_once(capsys, trial_files, monkeypatch):
         "--data", str(data_path), "--pi", str(PI), "--method", "np", "--variance", "none",
     ])
     assert code == 0 and len(calls) == 1
-
-
-def test_bad_workers_variable_fails_only_where_workers_is_read(capsys, monkeypatch):
-    monkeypatch.setenv("NETATE_WORKERS", "abc")
-    with pytest.raises(SystemExit) as help_exit:
-        main(["estimate", "--help"])
-    assert help_exit.value.code == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as bad_exit:
-        main(["reproduce", "--table", "table5"])
-    assert bad_exit.value.code == 2
-    assert "invalid int value: 'abc'" in capsys.readouterr().err
-    monkeypatch.setenv("NETATE_WORKERS", "3")
-    assert build_parser().parse_args(["reproduce", "--table", "table5"]).workers == 3
 
 
 def test_np_infinite_bandwidth_without_trim_exits_2(capsys, trial_files):

@@ -22,7 +22,7 @@ from netate import (
     nonparametric,
     run_scenario,
 )
-from netate.estimators import RCOND_THRESHOLD, TRIM_FACTOR, _group_ols, _np_columns, _np_tuning
+from netate.estimators import RCOND_THRESHOLD, TRIM_FACTOR, _group_ols, _np_columns, _np_config, _np_tuning
 from netate import estimators, kernels
 
 from conftest import WORKERS, rng_for, whole_matrix_weights
@@ -278,10 +278,15 @@ def test_function_with_true_conditional_means_beats_dim():
 # rule of thumb
 # ---------------------------------------------------------------------------
 
+def tune(data, alpha, h_band=None, b_trim=None):
+    """_np_tuning on the config _np_config builds for data's n and p, as a run does."""
+    return _np_tuning(data, *_np_config(data.n, data.p, alpha, h_band, b_trim))
+
+
 def rule_of_thumb(alpha, Z, **overrides):
     """The plug-in (q, h, b_trim) of _np_tuning at covariates Z, which alone set it."""
     n = Z.shape[0]
-    config, _ = _np_tuning(TrialData(Y=np.zeros(n), W=np.zeros(n), Z=Z, pi=0.5), alpha, **overrides)
+    config, _ = tune(TrialData(Y=np.zeros(n), W=np.zeros(n), Z=Z, pi=0.5), alpha, **overrides)
     return config.q, config.h_band, config.b_trim
 
 
@@ -514,7 +519,7 @@ def test_np_path_allocates_no_n_by_n_array():
     data = TrialData(Y=Z[:, 0] + w, W=w, Z=Z, pi=0.5)
     tracemalloc.start()
     try:
-        config, sums = _np_tuning(data, 0.05)
+        config, sums = tune(data, 0.05)
         nonparametric(data, config, sums=sums)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -535,7 +540,7 @@ def test_np_tuning_reuses_its_sums_and_checks_their_shape(monkeypatch):
     monkeypatch.setattr(estimators, "weights_matrix", recording)
     for overrides in ({}, {"b_trim": 0.02}, {"h_band": 0.8, "b_trim": 0.02}):
         computed.clear()
-        config, sums = _np_tuning(data, 0.05, **overrides)
+        config, sums = tune(data, 0.05, **overrides)
         assert len(computed) == 1 and computed[0] is sums
         assert {k: getattr(config, k) for k in overrides} == overrides
         # the sums are, bit for bit, those nonparametric computes itself from the config
@@ -546,4 +551,4 @@ def test_np_tuning_reuses_its_sums_and_checks_their_shape(monkeypatch):
             nonparametric(data, config, sums=sums[:, :4])
     # h = inf: every density estimate is 0, so no trim level follows from them
     with pytest.raises(ValueError, match="pass b_trim explicitly"):
-        _np_tuning(data, 0.05, h_band=math.inf)
+        tune(data, 0.05, h_band=math.inf)

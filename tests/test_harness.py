@@ -11,6 +11,7 @@ from netate import (
     ReplicateFailureError,
     TrialData,
     UnknownScenarioError,
+    UnsupportedDimensionError,
     ate_oracle,
     emit_report,
     get_scenario,
@@ -21,7 +22,8 @@ from netate import (
     true_tau,
 )
 from netate import _blas
-from netate.harness import TABLE_IDS, _estimate_once, _resolve_method, _Settings, _worker_pool, scenario_ids
+from netate.estimators import _np_config
+from netate.harness import TABLE_IDS, _estimate_once, _resolve_method, _worker_pool, scenario_ids
 from netate.variance import conservative_network_term, variance_np_polyseq
 
 from conftest import rng_for
@@ -157,6 +159,38 @@ def test_run_scenario_failure_reporting(workers):
     assert [r.filename for r in record] == [__file__]
 
 
+@pytest.mark.parametrize("b_trim", [None, 0.01])
+def test_run_scenario_rejects_unsupported_p_before_any_replicate(monkeypatch, b_trim):
+    # one error for a p the kernel orders do not cover, whether or not the trim level is given
+    import netate.harness as hz
+
+    def no_replicates(task):
+        raise AssertionError("_run_replicate was called")
+
+    monkeypatch.setattr(hz, "_run_replicate", no_replicates)
+    with pytest.raises(UnsupportedDimensionError):
+        run_scenario(get_scenario("sec41-main", p=11), 60, ("np:none",), reps=2, seed=1, b_trim=b_trim)
+
+
+@pytest.mark.parametrize("b_trim", [None, 0.01])
+def test_run_scenario_builds_the_np_config_once(monkeypatch, b_trim):
+    # the order, bandwidth and any given trim level are the run's: no replicate rebuilds them
+    import netate.estimators as est
+    import netate.harness as hz
+
+    calls = []
+    original = est._np_config
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(est, "_np_config", counting)
+    monkeypatch.setattr(hz, "_np_config", counting)
+    run_scenario(get_scenario("sec41-main", p=1), 60, ("np:none",), reps=4, seed=1, workers=1, b_trim=b_trim)
+    assert calls == [(60, 1, 0.01, None, b_trim)]
+
+
 def test_run_scenario_rejects_unknown_np_override():
     # the trim quantile comes from the scenario (get_scenario(np_alpha=...)), not an override
     s = get_scenario("sec41-main", p=1)
@@ -264,9 +298,9 @@ def test_estimate_once_records_components_for_every_variance(method):
     z = rng.standard_normal((n, 1))
     w = (rng.random(n) < pi).astype(int)
     data = TrialData(Y=w + z[:, 0] ** 2 + rng.standard_normal(n), W=w, Z=z, pi=pi)
-    settings = _Settings(alpha=0.01, h_band=None, b_trim=None)
+    tuning = _np_config(n, 1, 0.01, None, None)
     est, var = _resolve_method(method)
-    result, rec = _estimate_once(settings, data, est, var, network_term)
+    result, rec = _estimate_once(tuning, data, est, var, network_term)
     c1, c2, c3, c4 = rec["components"]
     assert rec["v"] == c1 + c2 + c3 + c4
     assert rec["v_nonet"] == c1 + c2 + c3
