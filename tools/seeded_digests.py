@@ -1,10 +1,11 @@
 """Print one sha256 per seeded output; diff two trees' listings for byte identity.
 
 Run as `PYTHONPATH=src python tools/seeded_digests.py` in each tree; about 8 s on two cores.
-Cases: the quadrature oracles (graphon_b, graphon_degree_profile, a rank1: graphon's
-normalisation, kernel_moment), leading_eigenpairs on a paper-sec3 graph of n=3000 (about 1.2M
-stored entries, so its Lanczos products run by row blocks when BLAS has two or more threads;
-a tree without that split gives the same hash only if the split is bit-identical), the Monte
+Cases: the quadrature oracles (graphon_b and graphon_degree_profile on paper-sec3, constant:0.7
+and rank1:1+x, a rank1: graphon's normalisation, kernel_moment), leading_eigenpairs on a
+paper-sec3 graph of n=3000 (about 1.2M stored entries, so its Lanczos products run by row blocks
+when BLAS has two or more threads; a tree without that split gives the same hash only if the
+split is bit-identical), the Monte
 Carlo oracles (ate_oracle on every outcome model at 250 000 draws, i.e. two chunks;
 theoretical_variance_oracle Vreg, Vdim and Valpha on sec31-validation and Vnp on sec41-main
 p=5), run_scenario summaries (JSON plus raw estimates; only n=400 runs Lanczos) of get_scenario
@@ -76,6 +77,9 @@ SIMULATIONS = [
     ("sec41-main-workers2-b0.02", ["--scenario", "sec41-main", "--p", "1", "--n", "200", "--methods",
                                    "np,np:none", "--b-trim", "0.02"], 2),
 ]
+# the quadrature oracles' graphons: the paper's, and one of each rank-1 family, whose h the
+# quadrature calls with scalar latents
+GRAPHONS = ("paper-sec3", "constant:0.7", "rank1:1+x")
 ESTIMATES = [("dim", "spectral"), ("dim", "conservative"), ("linear", "spectral"),
              ("linear", "conservative"), ("linear", "none"), ("np", "polyseq"), ("np", "none")]
 
@@ -136,10 +140,12 @@ def run(listing: Listing) -> None:
         harness._estimate_once = recording
 
     paper = make_graphon("paper-sec3")
-    b = graphon_b(paper)
-    emit("oracle/graphon_b/paper-sec3", np.float64(b).tobytes(), numbers=[b])
-    profile = np.array([graphon_degree_profile(paper, x) for x in (0.05, 0.5, 0.9)])
-    emit("oracle/degree_profile/paper-sec3", profile.tobytes(), numbers=profile)
+    for key in GRAPHONS:
+        spec = make_graphon(key)
+        b = graphon_b(spec)
+        emit(f"oracle/graphon_b/{key}", np.float64(b).tobytes(), numbers=[b])
+        profile = np.array([graphon_degree_profile(spec, x) for x in (0.05, 0.5, 0.9)])
+        emit(f"oracle/degree_profile/{key}", profile.tobytes(), numbers=profile)
     eigenvalues = np.array(make_graphon("rank1:exp(x)*sin(3*x)+2").eigenvalues)
     emit("oracle/rank1-eigenvalues", eigenvalues.tobytes(), numbers=eigenvalues)
     # about 1.2M stored entries, above variance._SPLIT_NNZ = 2**20: with two or more BLAS threads
