@@ -27,6 +27,8 @@ from .trial import load_edge_list, load_trial_csv
 
 
 def _cmd_estimate(args) -> int:
+    if not 0.0 < args.alpha < 1.0:  # for any method, as a scenario checks its np_alpha
+        raise ValueError(f"alpha must lie in (0, 1), got {args.alpha}")
     network = None
     if args.edges:
         network, _ = load_edge_list(args.edges, min_count=args.min_count, drop_isolated=args.drop_isolated)

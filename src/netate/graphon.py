@@ -50,7 +50,9 @@ class GraphonSpec:
     Parameters
     ----------
     h : callable
-        Vectorized symmetric function of two arrays in [0, 1].
+        Symmetric function on [0, 1]^2: two arrays in, an array of their
+        broadcast shape out.  Two scalars give a 0-d result, which the
+        quadrature oracles convert with float().
     sparsity_exponent : float
         gamma >= 0 in rho_n = n**(-gamma); 0 means dense.
     rank_hint : int, optional
@@ -181,10 +183,7 @@ def _from_upper(n: int, row_hits: np.ndarray, hit_cols: list[np.ndarray]) -> Net
 
 def _constant_h(c: float):
     def h(x, y):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        if shape == ():
-            return float(c)
-        return np.full(shape, float(c))
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), float(c))
 
     return h
 
@@ -247,8 +246,9 @@ def make_graphon(key: str) -> GraphonSpec:
     Keys: ``paper-sec3`` (x^2 + y^2 + xy + 0.1, rank 3), ``constant:<c>``,
     and ``rank1:<expr>`` where ``<expr>`` is a function of x defining
     h(x, y) = expr(x) * expr(y), held as lam psi(x) psi(y) with
-    lam = ||expr||^2 and psi = expr / ||expr||.  Another sparsity is a
-    ``dataclasses.replace(spec, sparsity_exponent=...)``.
+    lam = ||expr||^2 and psi = expr / ||expr||.  Each key's h returns an
+    array of its arguments' broadcast shape (see GraphonSpec).  Another
+    sparsity is a ``dataclasses.replace(spec, sparsity_exponent=...)``.
     """
     if key == "paper-sec3":
         # sup h = 3.1 at (1, 1)
@@ -272,8 +272,7 @@ def make_graphon(key: str) -> GraphonSpec:
 
         def h(x, y):
             # lam * psi(x) * psi(y) with psi = expr / ||expr||; seeded graphs depend on this order
-            total = norm_sq * (psi_raw(x) / scale) * (psi_raw(y) / scale)
-            return total if total.shape else float(total)
+            return norm_sq * (psi_raw(x) / scale) * (psi_raw(y) / scale)
 
         return GraphonSpec(h=h, rank_hint=1, name=key, eigenvalues=(norm_sq,))
     raise UnknownGraphonError(f"unknown graphon key {key!r}")
@@ -350,21 +349,22 @@ def _quad(fn, a: float, b: float, tol: float, what: str) -> float:
     return value
 
 
-def graphon_degree_profile(spec: GraphonSpec, latent: float, tol: float = 1e-10) -> float:
-    """int_0^1 h(latent, y) dy, the population analogue of N_i / (n rho_n)."""
+def graphon_degree_profile(spec: GraphonSpec, latent: float) -> float:
+    """int_0^1 h(latent, y) dy to within 1e-10, the population analogue of N_i / (n rho_n)."""
     if not 0.0 < latent < 1.0:
         raise ValueError("latent must lie in (0, 1)")
-    return _quad(lambda y: float(spec.h(latent, y)), 0.0, 1.0, tol, "degree profile")
+    return _quad(lambda y: float(spec.h(latent, y)), 0.0, 1.0, 1e-10, "degree profile")
 
 
-def graphon_b(spec: GraphonSpec, tol: float = 1e-8) -> float:
+def graphon_b(spec: GraphonSpec) -> float:
     """The squared-mean degree-ratio functional of the graphon.
 
     Computed by nested 1-D adaptive quadrature: row integral
     s(x) = int h(x, z) dz, then g(y) = int h(x, y) / s(x) dx, then
-    int g(y)^2 dy, with the inner tolerances tightened below `tol`.
+    int g(y)^2 dy to within 1e-8, with the two inner integrals to within
+    1e-11.
     """
-    inner_tol = min(tol * 1e-3, 1e-11)
+    inner_tol = 1e-11
     cache: dict[float, float] = {}
 
     def s(x: float) -> float:
@@ -379,7 +379,7 @@ def graphon_b(spec: GraphonSpec, tol: float = 1e-8) -> float:
     def g(y: float) -> float:
         return _quad(lambda x: float(spec.h(x, y)) / s(x), 0.0, 1.0, inner_tol, "ratio integral")
 
-    return _quad(lambda y: g(y) ** 2, 0.0, 1.0, tol, "outer integral")
+    return _quad(lambda y: g(y) ** 2, 0.0, 1.0, 1e-8, "outer integral")
 
 
 def require_positive_degrees(network: Network) -> None:

@@ -36,7 +36,6 @@ from .trial import (
     OutcomeModel,
     TrialData,
     assign_treatments,
-    check_p,
     conditional_mean,
     exposure_fractions,
     load_edge_list,
@@ -82,11 +81,12 @@ CONTACT_RANK = 10
 class Scenario:
     """A registered simulation design: network model, outcome model, design pi.
 
-    Exactly one of `graphon` (a fresh graph per replicate) and `network` (a
-    fixed graph) is set.  The covariate dimension `p` is the outcome model's,
-    and the spectral rank `rank` is the graphon's `rank_hint`, or
-    CONTACT_RANK on the fixed network; both follow a `replace` of the model
-    or the graphon.
+    `pi` and the np trim quantile `np_alpha` lie in (0, 1), whichever
+    methods run.  Exactly one of `graphon` (a fresh graph per replicate) and
+    `network` (a fixed graph) is set.  The covariate dimension `p` is the
+    outcome model's, and the spectral rank `rank` is the graphon's
+    `rank_hint`, or CONTACT_RANK on the fixed network; both follow a
+    `replace` of the model or the graphon.
     """
 
     id: str
@@ -100,6 +100,8 @@ class Scenario:
     def __post_init__(self):
         if not 0.0 < self.pi < 1.0:
             raise ValueError("pi must lie in (0, 1)")
+        if not 0.0 < self.np_alpha < 1.0:
+            raise ValueError(f"np_alpha must lie in (0, 1), got {self.np_alpha}")
         if (self.graphon is None) == (self.network is None):
             raise ValueError(f"scenario {self.id!r} needs exactly one of a graphon or a fixed network")
         if self.graphon is not None and self.graphon.rank_hint is None:
@@ -171,7 +173,7 @@ def get_scenario(
     fixed = scenario_id == "contact-vaccine"
     base = Scenario(
         id=scenario_id,
-        outcome=OutcomeModel(scenario_id, {"p": 1 if p is None else check_p(p)}),
+        outcome=OutcomeModel(scenario_id, p=1 if p is None else p),
         pi=_PRESETS[scenario_id][0],
         graphon=None if fixed else make_graphon("paper-sec3"),
         network=contact_network(period, contacts_path) if fixed else None,
@@ -359,18 +361,12 @@ class ScenarioSummary:
     methods: dict[str, MethodSummary]
 
     def to_dict(self) -> dict:
+        """The schema version, the other fields as "scenario" (scenario_id as its "id"), and the methods."""
         return {
             "schema_version": SCHEMA_VERSION,
             "scenario": {
-                "id": self.scenario_id,
-                "n": self.n,
-                "pi": self.pi,
-                "p": self.p,
-                "interference": self.interference,
-                "tau_true": self.tau_true,
-                "reps": self.reps,
-                "seed": self.seed,
-                "level": self.level,
+                "id" if f.name == "scenario_id" else f.name: getattr(self, f.name)
+                for f in fields(self) if f.name != "methods"
             },
             "methods": {name: ms.to_dict() for name, ms in self.methods.items()},
         }

@@ -94,26 +94,27 @@ class CovariateDraw:
 
 @dataclass(frozen=True)
 class OutcomeModel:
-    """A registered outcome scenario plus its constants."""
+    """A registered outcome model, its covariate dimension `p` and the ``constant`` model's `c`.
+
+    `p` passes check_p and is 1 where the covariate is a scalar; `c` is 0 on every other model.
+    """
 
     scenario_id: str
-    params: dict = field(default_factory=dict)
+    p: int = 1
+    c: float = 0.0
 
     def __post_init__(self):
         if self.scenario_id not in _REGISTRY:
             raise UnknownScenarioError(
                 f"unknown outcome model {self.scenario_id!r}; known: {sorted(_REGISTRY)}"
             )
-        if "p" in self.params:
-            p = check_p(self.params["p"])
-            if p != 1 and not _REGISTRY[self.scenario_id].p_settable:
-                raise ValueError(
-                    f"outcome model {self.scenario_id!r} owns a scalar covariate; p must be 1, got {p}"
-                )
-
-    @property
-    def p(self) -> int:
-        return int(self.params.get("p", 1))
+        object.__setattr__(self, "p", check_p(self.p))
+        if self.p != 1 and not _REGISTRY[self.scenario_id].p_settable:
+            raise ValueError(
+                f"outcome model {self.scenario_id!r} owns a scalar covariate; p must be 1, got {self.p}"
+            )
+        if self.c != 0 and self.scenario_id != "constant":
+            raise ValueError(f"outcome model {self.scenario_id!r} has no c; c must be 0, got {self.c}")
 
 
 def check_p(p) -> int:
@@ -213,7 +214,7 @@ def _vaccine_raw(draw):
     if z_star is None:
         raise UnknownScenarioError(
             "contact-vaccine outcomes depend on the raw vulnerability; pass the "
-            "CovariateDraw produced by sample_covariates, not a bare Z matrix"
+            "CovariateDraw produced by sample_covariates, which carries it"
         )
     return z_star
 
@@ -233,7 +234,7 @@ def _const_cov(model, n, rng):
 
 
 def _const_outcome(model, w, e, draw, noise):
-    return np.full(draw.Z.shape[0], float(model.params.get("c", 0.0)))
+    return np.full(draw.Z.shape[0], float(model.c))
 
 
 def _const_deriv(model, w, e, draw, noise):
@@ -323,38 +324,34 @@ def outcome_values(
     model: OutcomeModel,
     w: np.ndarray,
     exposures: np.ndarray | float,
-    covariates: CovariateDraw | np.ndarray,
+    covariates: CovariateDraw,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Evaluate the registered outcome formula at explicit noise values.
+    """Evaluate the registered outcome formula at explicit noise values, on a sample_covariates draw.
 
     Deterministic; lets oracles evaluate both treatment arms on shared draws.
     """
-    if isinstance(covariates, CovariateDraw):
-        draw = covariates
-    else:
-        z = np.asarray(covariates, dtype=float)
-        draw = CovariateDraw(Z=z[:, None] if z.ndim == 1 else z)
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
-    if draw.Z.shape[0] != n:
+    if covariates.Z.shape[0] != n:
         raise ValueError("covariate rows must match treatment length")
     e = np.broadcast_to(np.asarray(exposures, dtype=float), (n,))
     d = _definition(model)
-    return np.asarray(d.outcome(model, w, e, draw, np.asarray(noise, dtype=float)), dtype=float)
+    return np.asarray(d.outcome(model, w, e, covariates, np.asarray(noise, dtype=float)), dtype=float)
 
 
 def simulate_outcomes(
     model: OutcomeModel,
     w: np.ndarray,
     exposures: np.ndarray | float,
-    covariates: CovariateDraw | np.ndarray,
+    covariates: CovariateDraw,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Evaluate the registered outcome formula with fresh noise.
 
     `exposures` may be a vector of treated-neighbor fractions or a scalar
-    (the no-interference case, where the exposure argument is pinned at pi).
+    (the no-interference case, where the exposure argument is pinned at pi);
+    `covariates` is the CovariateDraw that sample_covariates returns.
     """
     n = np.asarray(w).shape[0]
     return outcome_values(model, w, exposures, covariates, sample_outcome_noise(model, n, rng))

@@ -236,6 +236,13 @@ def test_np_everything_trimmed_exits_2(capsys, trial_files):
     _assert_one_error_line(code, out, err, "every point failed the trimming conditions")
 
 
+@pytest.mark.parametrize("method", ["dim", "linear", "np"])
+def test_alpha_outside_the_unit_interval_exits_2_for_any_method(capsys, trial_files, method):
+    data_path, _ = trial_files
+    code, out, err = _run(capsys, ["--data", str(data_path), "--pi", str(PI), "--method", method, "--alpha", "1.5"])
+    _assert_one_error_line(code, out, err, "alpha must lie in (0, 1), got 1.5")
+
+
 def test_edge_list_of_another_size_exits_2_before_the_network_term(capsys, trial_files, tmp_path, monkeypatch):
     def no_network_term(*args, **kwargs):
         raise AssertionError("_network_term was called")
@@ -332,7 +339,9 @@ def test_simulate_graphon_override_uses_its_rank(capsys, monkeypatch, tmp_path):
     # a fixed network has no graphon to override
     (["--scenario", "contact-vaccine", "--graphon", "constant:0.5"], "exactly one of a graphon or a fixed network"),
     (["--scenario", "sec31-validation", "--graphon", "rank1:1/(x-0.5)"], "has no finite L2 norm"),
-], ids=["p=0", "p=-1", "contact-graphon", "rank1-pole"])
+    # checked although no np method runs
+    (["--scenario", "sec41-main", "--alpha", "1.5"], "np_alpha must lie in (0, 1), got 1.5"),
+], ids=["p=0", "p=-1", "contact-graphon", "rank1-pole", "alpha=1.5"])
 def test_simulate_bad_scenario_override_exits_2_before_any_replicate(capsys, monkeypatch, tmp_path, override, message):
     def no_replicates(*args, **kwargs):
         raise AssertionError("run_scenario was called")

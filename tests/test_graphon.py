@@ -287,7 +287,7 @@ def test_graphon_b_rank1_closed_form():
 def test_graphon_b_quadratic_value():
     # pinned from an independent nested-quadrature run; also consistent with
     # the two variance constants of the smooth design: (1.616 - 1.357)/0.21
-    b = graphon_b(make_graphon("paper-sec3"), tol=1e-8)
+    b = graphon_b(make_graphon("paper-sec3"))
     assert b == pytest.approx(1.2332334013, abs=1e-7)
     assert b == pytest.approx((1.616 - 1.357) / 0.21, abs=2e-3)
 

@@ -64,7 +64,7 @@ def test_get_scenario_rejects_p_below_one(p):
         with pytest.raises(ValueError, match=message):
             get_scenario(scenario_id, p=p)
     with pytest.raises(ValueError, match=message):  # a model built directly is checked too
-        OutcomeModel("sec41-main", {"p": p})
+        OutcomeModel("sec41-main", p=p)
 
 
 @pytest.mark.parametrize("scenario_id", ["sec31-validation", "contact-vaccine"])
@@ -72,10 +72,20 @@ def test_scalar_covariate_models_reject_p(scenario_id):
     # their covariate law draws one column whatever p says
     message = f"outcome model '{scenario_id}' owns a scalar covariate; p must be 1, got 3"
     with pytest.raises(ValueError, match=re.escape(message)):
-        OutcomeModel(scenario_id, {"p": 3})
+        OutcomeModel(scenario_id, p=3)
     with pytest.raises(ValueError, match=re.escape(message)):
         get_scenario(scenario_id, p=3)
-    assert OutcomeModel(scenario_id, {"p": 1}).p == 1
+    assert OutcomeModel(scenario_id, p=1).p == 1
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+def test_scenario_rejects_a_trim_quantile_outside_the_unit_interval(alpha):
+    # checked whatever the methods: a run without an np method never builds the np tuning
+    message = rf"np_alpha must lie in \(0, 1\), got {alpha}$"
+    with pytest.raises(ValueError, match=message):
+        get_scenario("sec41-main", np_alpha=alpha)
+    with pytest.raises(ValueError, match=message):
+        replace(get_scenario("sec31-validation"), np_alpha=alpha)
 
 
 def test_contact_scenario_rejects_missing_file_and_bad_period(tmp_path):

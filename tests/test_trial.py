@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,24 @@ def test_unknown_scenario_rejected():
         OutcomeModel("mystery")
 
 
+def test_outcome_model_takes_p_and_c_as_typed_parameters():
+    model = OutcomeModel("sec41-main", p=3.0)
+    assert model.p == 3 and type(model.p) is int
+    assert OutcomeModel("constant", c=5).c == 5.0
+    # a misspelt parameter is an error, not ignored
+    with pytest.raises(TypeError, match="unexpected keyword argument 'P'"):
+        OutcomeModel("sec41-main", P=3)
+
+
+@pytest.mark.parametrize("scenario_id, kwargs, message", [
+    ("sec31-validation", {"c": 5.0}, "outcome model 'sec31-validation' has no c; c must be 0, got 5.0"),
+    ("sec41-main", {"p": 2.5}, "p must be an integer, got 2.5"),
+])
+def test_outcome_model_rejects_a_misplaced_c_and_a_fractional_p(scenario_id, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OutcomeModel(scenario_id, **kwargs)
+
+
 def test_quadratic_outcome_control_arm_is_squared_covariate():
     model = OutcomeModel("sec31-validation")
     draw = CovariateDraw(Z=np.array([[1.0], [-2.0]]))
@@ -115,11 +134,11 @@ def test_vaccine_outcome_vanishes_at_full_exposure():
 def test_vaccine_outcome_requires_hidden_vulnerability():
     model = OutcomeModel("contact-vaccine")
     with pytest.raises(UnknownScenarioError):
-        simulate_outcomes(model, np.ones(3), 0.2, np.zeros((3, 1)), rng_for(8))
+        simulate_outcomes(model, np.ones(3), 0.2, CovariateDraw(Z=np.zeros((3, 1))), rng_for(8))
 
 
 def test_simulate_outcomes_pure_given_seed():
-    model = OutcomeModel("sec41-main", {"p": 3})
+    model = OutcomeModel("sec41-main", p=3)
     draw = sample_covariates(model, 50, rng_for(9))
     w = assign_treatments(50, 0.7, rng_for(10))
     y1 = simulate_outcomes(model, w, 0.7, draw, rng_for(11))
@@ -152,7 +171,7 @@ def _hand_conditional_mean(scenario_id, params, w, pi, z):
     [("constant", {"c": 1.5}), ("sec31-validation", {}), ("sec41-main", {"p": 1}), ("sec41-main", {"p": 3})],
 )
 def test_conditional_mean_matches_closed_form(scenario_id, params, w, pi):
-    model = OutcomeModel(scenario_id, params)
+    model = OutcomeModel(scenario_id, **params)
     draw = sample_covariates(model, 200, rng_for(12))
     expected = _hand_conditional_mean(scenario_id, params, float(w), pi, draw.Z)
     assert (conditional_mean(model, w, pi, draw) == expected).all()
@@ -188,7 +207,7 @@ def test_ate_oracle_requires_enough_draws():
 
 
 def test_ate_oracle_constant_outcome_is_zero():
-    out = ate_oracle(OutcomeModel("constant", {"c": 3.0}), 0.5, 20_000, rng_for(13))
+    out = ate_oracle(OutcomeModel("constant", c=3.0), 0.5, 20_000, rng_for(13))
     assert out.value == 0.0 and out.se == 0.0
 
 
@@ -201,7 +220,7 @@ def test_ate_oracle_quadratic_closed_form(pi):
 
 
 def test_ate_oracle_smooth_scenario():
-    out = ate_oracle(OutcomeModel("sec41-main", {"p": 5}), 0.7, 400_000, rng_for(15))
+    out = ate_oracle(OutcomeModel("sec41-main", p=5), 0.7, 400_000, rng_for(15))
     assert abs(out.value - 0.2) < 3 * out.se
 
 

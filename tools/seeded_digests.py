@@ -159,7 +159,7 @@ def run(listing: Listing) -> None:
         moments = np.array([kernel_moment(config, m) for m in MULTI_INDICES])
         emit(f"oracle/kernel_moment/q={q}", moments.tobytes(), numbers=moments)
     for k, (sid, params) in enumerate(OUTCOME_MODELS):
-        out = np.array(ate_oracle(OutcomeModel(sid, params), 0.3, 250_000, np.random.default_rng(80 + k)))
+        out = np.array(ate_oracle(OutcomeModel(sid, **params), 0.3, 250_000, np.random.default_rng(80 + k)))
         emit(f"oracle/ate/{sid}", out.tobytes(), numbers=out)
     for k, (sid, kwargs, formula, params) in enumerate(VARIANCE_ORACLES):
         out = np.array(theoretical_variance_oracle(get_scenario(sid, **kwargs), formula, 20_000,
