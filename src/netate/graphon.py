@@ -300,8 +300,10 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
     and draws one uniform per pair.  Consecutive `rng.random` calls continue
     one stream, so the draws, the edges and the generator's state afterwards
     are exactly those of a single n(n-1)/2 draw.  Memory is the adjacency
-    plus O(_BLOCK_PAIRS).  Clamping at 1 is silent.  The network holds only
-    the adjacency; a caller that needs the latents keeps its own.
+    plus O(_BLOCK_PAIRS).  No clamp at 1 is needed: a uniform from
+    [0, 1) is below min(rho_n h, 1) exactly when it is below rho_n h (and
+    below neither when that is NaN).  The network holds only the adjacency;
+    a caller that needs the latents keeps its own.
     """
     u = np.asarray(latents, dtype=float)
     n = u.shape[0]
@@ -318,7 +320,7 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
         ends = np.cumsum(lengths)
         x = np.repeat(u[rows], lengths)
         y = np.concatenate([u[i + 1:] for i in rows])
-        probs = np.minimum(rho * np.asarray(spec.h(x, y), dtype=float), 1.0)
+        probs = rho * np.asarray(spec.h(x, y), dtype=float)
         pos = np.flatnonzero(rng.random(x.shape[0]) < probs)
         counts = np.diff(np.searchsorted(pos, ends), prepend=0)
         row_hits[rows] = counts

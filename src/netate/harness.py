@@ -507,7 +507,8 @@ def run_scenario(
 # Theoretical-variance oracles
 # ---------------------------------------------------------------------------
 
-_FORMULAS = ("Vreg", "Vdim", "Vnp", "Valpha", "Vg")
+# each formula and the keys of `params` it reads
+_FORMULAS = {"Vreg": (), "Vdim": (), "Vnp": (), "Valpha": ("alpha1", "alpha0"), "Vg": ("g1", "g0")}
 
 
 def theoretical_variance_oracle(
@@ -525,12 +526,23 @@ def theoretical_variance_oracle(
     plug-in statistic for a fixed network).  Returns the value with a
     standard error from 20 batches; mc_reps must be at least
     20 * max(50, p + 2), so that every batch has more draws than the p + 1
-    regression coefficients it fits.  "Vg" calls params["g1"] and
-    params["g0"] as function_adjusted does, on a covariate matrix.
+    regression coefficients it fits.  "Valpha" reads the slopes
+    params["alpha1"] and params["alpha0"]; "Vg" calls params["g1"] and
+    params["g0"] as function_adjusted does, on a covariate matrix.  The
+    other formulas read no params.  A key the formula does not read, or a
+    missing one, is a ValueError naming it, raised before any draw.
     """
     if formula not in _FORMULAS:
-        raise ValueError(f"formula must be one of {_FORMULAS}")
+        raise ValueError(f"formula must be one of {tuple(_FORMULAS)}")
     params = params or {}
+    reads = _FORMULAS[formula]
+    unknown = [key for key in params if key not in reads]
+    if unknown:
+        raise ValueError(f"{formula} reads no parameter {', '.join(map(repr, unknown))}; "
+                         f"its parameters are {list(reads)}")
+    missing = [key for key in reads if key not in params]
+    if missing:
+        raise ValueError(f"{formula} needs the parameter {', '.join(map(repr, missing))}")
     model = scenario.outcome
     pi = scenario.pi
     m = int(mc_reps)

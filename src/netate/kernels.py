@@ -29,8 +29,13 @@ two paths from the config alone:
   - otherwise: one pass over the upper triangle of the symmetric (n, n) K
     (_symmetric_sums), a panel of rows at a time through three scratch
     buffers of about _BLOCK_BYTES each: n^2/2 kernel evaluations per
-    coordinate in O(n k + _BLOCK_BYTES) memory.  It is also the tests'
-    reference for the window sums.
+    coordinate in O(n k + _BLOCK_BYTES) memory.  The covariates are divided
+    by h once, the panels hold the unscaled products of (1 - t^2) poly_q(t^2),
+    clamped at 0 outside the support, and the constant C_q^p multiplies the
+    (n, k) sums at the end: 8 array passes per coordinate for order 4 (7
+    for the first), where scaling each difference and each factor and
+    masking the support took 11.  It is also the tests' reference for the
+    window sums.
 Neither makes an n x n array.
 """
 
@@ -51,6 +56,8 @@ __all__ = [
 ]
 
 _ORDERS = (2, 4, 6)
+# C_q: each order's kernel is C_q (1 - t^2) poly_q(t^2) on |t| <= 1
+_CONSTANTS = {2: 0.75, 4: 45.0 / 32.0, 6: 525.0 / 256.0}
 # bytes per scratch buffer of the symmetric pass: each panel is about
 # this size, so the buffers stay in L2; on a 2-core Xeon, 64-512 KiB
 # timed the same within noise and 128 KiB was fastest
@@ -94,39 +101,38 @@ class KernelConfig:
             )
 
 
-def _kernel_1d(q: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The order-q kernel at every entry of t, written into `out`; q is one KernelConfig accepted.
+def _kernel_1d(q: int, s: np.ndarray, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * K_q(t) / C_q at every entry, for s = t * t, written into `out`.
 
-    t must be a float array of out's shape, and it may be overwritten
-    (orders 4 and 6 use it as scratch).  Each operation is the one of the
-    closed form above, in the same order, so every entry, signed zeros
-    included, is bit for bit what the whole-array expression gives.
+    C_q is the kernel's constant (_CONSTANTS), so scale = C_q gives the
+    kernel itself and the default gives the unscaled (1 - t^2) * poly_q(t^2)
+    of the closed form above.  s must be a float array of out's shape, and
+    it is overwritten.  The polynomial is evaluated in the closed form's
+    operation order, then max(1 - t^2, 0), times scale when scale != 1, is
+    multiplied into it: the clamp is the support indicator, so a weight
+    outside the support is a zero signed like its polynomial.  Inside the
+    support, poly * (C_q * (1 - t^2)) is the product the closed form gives,
+    bit for bit.
     """
-    np.multiply(t, t, out=out)  # t^2
     if q == 2:
-        # mask-free: (1 - t^2) clipped at 0 doubles as the support indicator
-        np.subtract(1.0, out, out=out)
-        np.maximum(out, 0.0, out=out)
-        out *= 0.75
-        return out
-    u = t  # t is spent; its buffer holds u = 1 - t^2
-    if q == 4:
-        np.subtract(1.0, out, out=u)
-        out *= 7.0 / 3.0
-        np.subtract(1.0, out, out=out)  # 1 - 7 t^2 / 3
+        u = out  # the polynomial is 1
     else:
-        r = (33.0 / 5.0) * out
-        r *= out
-        np.subtract(1.0, out, out=u)
-        out *= 6.0
-        np.subtract(1.0, out, out=out)
-        out += r  # 1 - 6 t^2 + 33 t^4 / 5
-    u *= 45.0 / 32.0 if q == 4 else 525.0 / 256.0
-    out *= u
-    # the scaled u is positive exactly where u is (u > 0 means u >= 2^-53),
-    # and multiplying by the 0/1 indicator keeps the sign of a masked zero
-    np.greater(u, 0.0, out=u)
-    out *= u
+        u = s
+        if q == 4:
+            np.multiply(s, 7.0 / 3.0, out=out)
+            np.subtract(1.0, out, out=out)  # 1 - 7 t^2 / 3
+        else:
+            r = (33.0 / 5.0) * s
+            r *= s
+            np.multiply(s, 6.0, out=out)
+            np.subtract(1.0, out, out=out)
+            out += r  # 1 - 6 t^2 + 33 t^4 / 5
+    np.subtract(1.0, s, out=u)
+    np.maximum(u, 0.0, out=u)
+    if scale != 1.0:
+        u *= scale
+    if u is not out:
+        out *= u
     return out
 
 
@@ -140,25 +146,28 @@ def kernel_moment(config: KernelConfig, multi_index) -> float:
         raise ValueError("exponents must be nonnegative")
     if len(exps) > config.p:
         raise ValueError("multi-index longer than the covariate dimension")
-    value, k_t = 1.0, np.empty(1)
+    value, k_t, c_q = 1.0, np.empty(1), _CONSTANTS[config.q]
     for l in exps:
-        value *= _quad(lambda t, l=l: t**l * float(_kernel_1d(config.q, np.array([t]), k_t)[0]),
+        value *= _quad(lambda t, l=l: t**l * float(_kernel_1d(config.q, np.array([t * t]), k_t, c_q)[0]),
                        -1.0, 1.0, 1e-13, f"kernel moment of order {l}")
     return value
 
 
 def _fill_block(block, Zt, at, config: KernelConfig, t, k_buf) -> None:
-    """block[i, j] = K((Zt[:, j] - at[i]) / h), the p factors multiplied in coordinate order.
+    """block[i, j] = prod_k (1 - t^2) poly_q(t^2), t = Zt[k, j] - at[i, k]: K / C_q^p, unscaled.
 
-    t and k_buf are scratch of block's shape.  Every entry is the product
-    K_1 * ... * K_p of its 1-D factors, as a whole-matrix loop over the
-    coordinates would compute it.
+    Zt and at hold the covariates already divided by h, so t is the scaled
+    difference.  t and k_buf are scratch of block's shape.  The p factors
+    are multiplied in coordinate order, as a whole-matrix loop over the
+    coordinates would multiply them: the difference, its square, five
+    passes of the order-4 kernel (_kernel_1d) and the product make 8 array
+    passes per coordinate, 7 for the first, which writes into block itself.
     """
     for k in range(config.p):
         np.subtract(Zt[k], at[:, k, None], out=t)
-        t /= config.h_band
+        t *= t
         if k == 0:
-            _kernel_1d(config.q, t, out=block)  # 1.0 * K_1 is K_1
+            _kernel_1d(config.q, t, out=block)
         else:
             block *= _kernel_1d(config.q, t, out=k_buf)
 
@@ -175,17 +184,20 @@ def weights_matrix(Z: np.ndarray, config: KernelConfig, rhs: np.ndarray) -> np.n
     For p = 1, order 2 and a finite bandwidth the sums come from windows of
     the sorted z (_window_sums): O(n log n) time and O(n k) memory, as
     accurate as the symmetric pass (see the module docstring).  Every other
-    config takes one pass over the upper triangle of K (_symmetric_sums).
-    K is symmetric bit for bit (z_i - z_j is exactly -(z_j - z_i), and each
-    order reads only t^2), so the panel of rows s..s+b, over columns
-    s..n-1, adds block @ rhs[s:] to its own rows and block[:, b:].T @
-    rhs[s:s+b] to the later ones.  Each entry is the one the full matrix
-    holds; only the order of the sums differs.  The kernel is evaluated
-    about n^2/2 times, and memory is the (n, k) result, one (n, k) buffer
-    and three of about _BLOCK_BYTES.
+    config takes one pass over the upper triangle of K (_symmetric_sums),
+    on the covariates divided by h, t = z_j/h - z_i/h.  Its entries are the
+    unscaled products K / C_q^p, and the sums are multiplied by C_q^p once,
+    at the end.  K is symmetric bit for bit (z_i/h - z_j/h is exactly
+    -(z_j/h - z_i/h), and each order reads only t^2), so the panel of rows
+    s..s+b, over columns s..n-1, adds block @ rhs[s:] to its own rows and
+    block[:, b:].T @ rhs[s:s+b] to the later ones.  Each entry is the one
+    the full unscaled matrix holds; only the order of the sums differs.
+    The kernel is evaluated about n^2/2 times, and memory is the (n, k)
+    result, one (n, k) buffer, the (p, n) scaled covariates and three
+    buffers of about _BLOCK_BYTES.
 
     An infinite bandwidth needs no branch in the symmetric pass: every
-    scaled difference is then 0, so every weight is K(0)^p, and a finite sum
+    scaled covariate is then 0, so every weight is K(0)^p, and a finite sum
     over n h^p is 0.
     """
     Z = np.asarray(Z, dtype=float)
@@ -199,12 +211,13 @@ def weights_matrix(Z: np.ndarray, config: KernelConfig, rhs: np.ndarray) -> np.n
         raise ValueError(f"rhs must be an ({n}, k) matrix")
     if config.p == 1 and config.q == 2 and math.isfinite(config.h_band):
         return _window_sums(Z[:, 0], config.h_band, rhs)
-    return _symmetric_sums(Z, np.ascontiguousarray(Z.T), config, rhs)
+    return _symmetric_sums(Z, config, rhs)
 
 
-def _symmetric_sums(Z, Zt, config: KernelConfig, rhs: np.ndarray) -> np.ndarray:
+def _symmetric_sums(Z, config: KernelConfig, rhs: np.ndarray) -> np.ndarray:
     """K @ rhs from the upper triangle of K, one panel of rows at a time."""
-    n = Z.shape[0]
+    n, p = Z.shape
+    Zt = np.divide(Z.T, config.h_band, out=np.empty((p, n)))  # rows of one coordinate, over h
     out = np.zeros((n, rhs.shape[1]))
     below = np.empty_like(out)  # the panel's contribution to later rows
     # block, t and k scratch; a panel of b rows and w = n - s columns has
@@ -215,12 +228,13 @@ def _symmetric_sums(Z, Zt, config: KernelConfig, rhs: np.ndarray) -> np.ndarray:
         w = n - s
         b = min(w, max(1, _BLOCK_BYTES // (8 * w)))
         block, t, k_buf = (buf[: b * w].reshape(b, w) for buf in bufs)
-        _fill_block(block, Zt[:, s:], Z[s : s + b], config, t, k_buf)
+        _fill_block(block, Zt[:, s:], Zt[:, s : s + b].T, config, t, k_buf)
         out[s : s + b] += block @ rhs[s:]
         rest = below[: w - b]
         np.matmul(block[:, b:].T, rhs[s : s + b], out=rest)
         out[s + b :] += rest
         s += b
+    out *= math.prod([_CONSTANTS[config.q]] * p)  # C_q^p, multiplied in coordinate order
     return out
 
 

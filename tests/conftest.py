@@ -27,8 +27,12 @@ def whole_matrix_weights(Z, config, at=None):
     """Dense reference: K((z_j - at_i)/h) over all (m, n) pairs, one coordinate's factor at a time.
 
     `at` defaults to Z, which gives the (n, n) weights of the sample about
-    itself.  Each factor is the closed form of the kernel module in the
-    same operation order, so the library's fill must match it bit for bit.
+    itself.  Each factor is the closed form of the kernel module, C_q times
+    the unscaled factor and masked off the support, so a single scaled
+    factor (_kernel_1d with scale C_q, as kernel_moment evaluates it)
+    matches it bit for bit.  The symmetric pass divides the covariates by h
+    before differencing and applies C_q^p to the sums, so its sums match
+    K @ rhs to rounding, not bit for bit.
     """
     at = Z if at is None else at
     out = np.ones((at.shape[0], Z.shape[0]))

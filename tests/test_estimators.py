@@ -499,7 +499,7 @@ def test_p1_trim_boundary_matches_symmetric_reference(side):
     data = TrialData(Y=y, W=w, Z=Z, pi=0.5)
     q, h, _ = rule_of_thumb(0.05, Z)
     probe = KernelConfig(q=q, p=1, h_band=h, b_trim=h)
-    sums = kernels._symmetric_sums(Z, np.ascontiguousarray(Z.T), probe, _np_columns(data))
+    sums = kernels._symmetric_sums(Z, probe, _np_columns(data))
     *_, p1, p2, p_hat = _dense_reference(data, probe, sums)
     room = (p1 > 0) & (p2 > 1.1 * p1) & (p_hat > 1.1 * p1)
     i = int(np.flatnonzero(room)[np.argmin(p1[room])])

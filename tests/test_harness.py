@@ -340,6 +340,25 @@ def test_oracle_formula_validation():
 
 
 @pytest.mark.parametrize(
+    "formula, params, message",
+    [
+        ("Vreg", {"alpha_1": [0.5], "g9": None}, r"Vreg reads no parameter 'alpha_1', 'g9'; its parameters are \[\]"),
+        ("Valpha", {"alpha_1": [0.5], "alpha0": [0.0]}, "Valpha reads no parameter 'alpha_1'"),
+        ("Valpha", {"alpha0": [0.0]}, "Valpha needs the parameter 'alpha1'"),
+        ("Vg", {"g1": np.sin}, "Vg needs the parameter 'g0'"),
+    ],
+)
+def test_oracle_rejects_parameters_its_formula_does_not_read(formula, params, message):
+    # checked before any draw: the generator is left untouched
+    s = get_scenario("sec31-validation")
+    rng = rng_for(58)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        theoretical_variance_oracle(s, formula, 1_000, rng, params)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
     "scenario_id, p, formula, params",
     [
         ("sec31-validation", None, "Vreg", None),

@@ -230,6 +230,42 @@ def test_infinite_bandwidth_weights_are_constant():
     assert (kernel_of(Z, c) == 0.75**2).all()
 
 
+@pytest.mark.parametrize("q", [2, 4, 6])
+def test_scaled_kernel_equals_the_closed_form_bit_for_bit(q):
+    # kernel_moment's integrand: _kernel_1d with scale C_q on t^2 is the
+    # closed form of whole_matrix_weights at every interior t, 0 and points
+    # within 1e-9 of the support's edge included
+    edge = 1.0 - np.array([1e-9, 1e-12, 2.0**-52, 2.0**-53])
+    t = np.concatenate([[0.0, -0.0], edge, -edge, rng_for(26, q).uniform(-1.0, 1.0, 200)])
+    c_q = {2: 0.75, 4: 45.0 / 32.0, 6: 525.0 / 256.0}[q]
+    got = kernels._kernel_1d(q, t * t, np.empty_like(t), c_q)
+    want = whole_matrix_weights(t[:, None], cfg(q=q), at=np.zeros((1, 1)))[0]
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def unscaled_weights(Zs, q, at):
+    """The fill's closed form: prod_k (1 - t^2) poly_q(t^2) clamped at 0, t = Zs[j, k] - at[i, k].
+
+    Zs and at are covariates already divided by h, and the kernel constant
+    is left out (K / C_q^p), one coordinate's factor at a time in the
+    library's operation order.
+    """
+    out = np.ones((at.shape[0], Zs.shape[0]))
+    for k in range(Zs.shape[1]):
+        t = Zs[None, :, k] - at[:, k, None]
+        t2 = t * t
+        clamp = np.maximum(1.0 - t2, 0.0)
+        if q == 2:
+            factor = clamp
+        elif q == 4:
+            factor = (1.0 - (7.0 / 3.0) * t2) * clamp
+        else:
+            factor = (1.0 - 6.0 * t2 + (33.0 / 5.0) * t2 * t2) * clamp
+        out *= factor
+    return out
+
+
 BLOCK = 4
 
 
@@ -246,9 +282,9 @@ def test_blocked_weights_equal_whole_matrix_bit_for_bit(q, m, h):
     c = cfg(q=q, p=p, h=h)
     # the symmetric pass's panels (rows s..s+b over columns s..n-1), and rows
     # about other points over every column, through scratch that every
-    # block reuses
-    for sample, at, panel in ((Z[:m], Z[:m], True), (Z, queries, False)):
-        want = whole_matrix_weights(sample, c, at=at)
+    # block reuses; the fill reads covariates already divided by h
+    for sample, at, panel in ((Z[:m] / h, Z[:m] / h, True), (Z / h, queries / h, False)):
+        want = unscaled_weights(sample, q, at=at)
         Zt = np.ascontiguousarray(sample.T)
         bufs = np.empty((3, BLOCK * sample.shape[0]))
         for s in range(0, m, BLOCK):
@@ -287,7 +323,7 @@ def test_symmetric_sums_match_full_matrix_products(monkeypatch, q, p, n, h):
     K = whole_matrix_weights(Z, c)
     # the symmetric pass itself, and the path weights_matrix picks (the
     # window sums for p = 1 and order 2)
-    for got in (kernels._symmetric_sums(Z, np.ascontiguousarray(Z.T), c, V), weights_matrix(Z, c, rhs=V)):
+    for got in (kernels._symmetric_sums(Z, c, V), weights_matrix(Z, c, rhs=V)):
         assert got.shape == (n, 5)
         # rounding of a reordered sum is bounded by the sum of the magnitudes
         assert (np.abs(got - K @ V) <= 1e-13 * (np.abs(K) @ np.abs(V))).all()
@@ -353,7 +389,7 @@ def test_symmetric_sums_allocate_no_n_by_n_array():
 
 def _symmetric_reference(z, c, V):
     Z = np.asarray(z, dtype=float)[:, None]
-    return kernels._symmetric_sums(Z, np.ascontiguousarray(Z.T), c, V)
+    return kernels._symmetric_sums(Z, c, V)
 
 
 _grid_z = st.lists(st.integers(-100, 100), min_size=1, max_size=40)  # duplicates, pairs h apart
