@@ -8,16 +8,14 @@ Library layout:
   variance   -- spectral variance estimation and confidence intervals
   harness    -- scenario registry, Monte Carlo driver, oracles, reports
 
-Import policy: `import netate` loads scipy.sparse (every adjacency) and
-scipy.special (`ndtri`, the interval quantile; statistics.NormalDist differs
-from it in the last bit, at 0.975 among others, and pool children would
-import it again on every call).  Two scipy modules load on first use:
-scipy.integrate, and with it scipy.optimize and scipy.linalg, for the
-quadrature oracles (graphon_b, graphon_degree_profile, kernel_moment, the
-rank1: normalisation); scipy.sparse.linalg for the Lanczos path of
+Import policy: `import netate` loads scipy.sparse (every adjacency) and no
+other scipy module.  Two load on first use: scipy.integrate, and with it
+scipy.optimize, scipy.linalg and scipy.special, for the quadrature oracles
+(graphon_b, graphon_degree_profile, kernel_moment, the rank1:
+normalisation); scipy.sparse.linalg for the Lanczos path of
 leading_eigenpairs.  scipy.stats is never loaded.  A replicate needs none
-of the oracles, so a fresh `import netate` plus get_scenario takes 0.56 s
-and 55 MB resident (medians of 11 starts, 2-core Xeon).
+of the oracles, so a fresh `import netate` plus get_scenario takes 0.38 s
+and 52 MB resident (medians of 11 alternating starts, 2-core Xeon).
 """
 
 from ._errors import (

@@ -14,6 +14,7 @@ from .harness import (
     _NETWORK_VARIANCES,
     _VARIANCES,
     TABLE_IDS,
+    TABLE_REPS,
     _estimate_once,
     _network_term,
     _resolve_method,
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--p", type=int)
     sim.add_argument("--graphon", help="graphon registry key override (e.g. constant:0.5)")
     sim.add_argument("--methods", default="dim,linear,np")
-    sim.add_argument("--reps", type=int, default=1000)
+    sim.add_argument("--reps", type=int, default=TABLE_REPS)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--alpha", type=float)
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("reproduce", help="re-run one of the reported result grids")
     rep.add_argument("--table", required=True, choices=TABLE_IDS)
-    rep.add_argument("--budget", type=float, default=1.0, help="fraction of the full 1000 reps")
+    rep.add_argument("--budget", type=float, default=1.0, help=f"fraction of the full {TABLE_REPS} reps")
     rep.add_argument("--seed", type=int, default=20240)
     rep.add_argument("--workers", type=int, default=1)
     rep.add_argument("--out", help="directory for report.json")

@@ -73,6 +73,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# the paper's replicate count per table cell (not the n = 1000 of Tables 2 and 4)
+TABLE_REPS = 1000
 CONTACT_MIN_COUNT = 3
 CONTACT_RANK = 10
 
@@ -434,9 +436,9 @@ def run_scenario(
     unsupported p raises there, and a b_trim above the bandwidth warns once,
     at the caller's line; a trim level derived from a replicate's data is
     built, and may warn, in that replicate.
-    Intervals are at variance.LEVEL, and polyseq stops by variance_np_polyseq's
-    defaults.  For fixed-network scenarios n is the network size; the
-    spectral pieces of the variance are computed once and shared.
+    Intervals are at variance.LEVEL and polyseq stops by variance's fixed
+    rule.  For fixed-network scenarios n is the network size; the spectral
+    pieces of the variance are computed once and shared.
     Replicate failures are counted per method. A method that fails in more
     than 5% of replicates, every replicate included, raises
     ReplicateFailureError (a RuntimeError) quoting the count and the first
@@ -702,10 +704,10 @@ _TABLE6_REFERENCE = {
 }
 
 
-def _scaled_reps(budget: float, full: int = 1000) -> int:
+def _scaled_reps(budget: float) -> int:
     if not (math.isfinite(budget) and budget > 0):
         raise ValueError(f"budget must be a finite number > 0, got {budget!r}")
-    return max(int(round(full * budget)), 20)
+    return max(int(round(TABLE_REPS * budget)), 20)
 
 
 def reproduce_table(
@@ -718,8 +720,8 @@ def reproduce_table(
 ) -> dict:
     """Run the preset grid behind one of the reported tables.
 
-    `budget` scales replicate counts (1.0 = the full 1000); scaled runs are
-    labeled and carry the Monte Carlo widening factor sqrt(1000/reps).
+    `budget` scales the replicate count (1.0 = the full TABLE_REPS); scaled runs
+    are labeled and carry the Monte Carlo widening factor sqrt(TABLE_REPS/reps).
     `contacts` may map "morning"/"midday" to user-supplied contact files.
     Returns a report dict of cells with computed and reference values, and
     writes report.json when out_dir is given.
@@ -731,8 +733,8 @@ def reproduce_table(
     report = {
         "table": table_id,
         "reps": reps,
-        "scaled": reps != 1000,
-        "mc_tolerance_factor": math.sqrt(1000.0 / reps),
+        "scaled": reps != TABLE_REPS,
+        "mc_tolerance_factor": math.sqrt(TABLE_REPS / reps),
         "cells": [],
     }
     cells = report["cells"]

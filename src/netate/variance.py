@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._blas import thread_budget
 from ._errors import InvalidVarianceError, SingularDesignError
@@ -39,10 +38,17 @@ __all__ = [
     "DENSE_EIG_THRESHOLD",
     "LANCZOS_TOL",
     "LEVEL",
+    "Z_LEVEL",
+    "POLYSEQ_MAX_DEGREE",
+    "POLYSEQ_REL_TOL",
 ]
 
-# the coverage of every interval the commands and tables report
+# the coverage of every interval the commands and tables report, and its quantile ndtri(0.5 + LEVEL / 2)
 LEVEL = 0.95
+Z_LEVEL = 1.959963984540054
+# polyseq's stop rule: the highest polynomial degree, and the relative change that stops it
+POLYSEQ_MAX_DEGREE = 5
+POLYSEQ_REL_TOL = 0.05
 DENSE_EIG_THRESHOLD = 300
 # eigsh's relative accuracy goal on the Lanczos path (its default, 0, means
 # machine precision); leading_eigenpairs states what it guarantees
@@ -295,17 +301,13 @@ def variance_reg(data: TrialData, linear_fit: EstimateResult, network_term: floa
     return VarianceReport(v_hat=c1 + c2 + c3 + c4, components=(c1, c2, c3, c4))
 
 
-def confidence_interval(
-    tau_hat: float, v_hat: float, n: int, level: float = LEVEL
-) -> tuple[float, float]:
-    """Symmetric normal interval tau_hat -+ z sqrt(v_hat / n)."""
+def confidence_interval(tau_hat: float, v_hat: float, n: int) -> tuple[float, float]:
+    """Symmetric normal interval tau_hat -+ Z_LEVEL sqrt(v_hat / n), at LEVEL."""
     if v_hat < 0:
         raise InvalidVarianceError(f"variance estimate must be nonnegative, got {v_hat}")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    half = ndtri(0.5 + level / 2.0) * math.sqrt(v_hat / n)
+    half = Z_LEVEL * math.sqrt(v_hat / n)
     return float(tau_hat - half), float(tau_hat + half)
 
 
@@ -325,23 +327,19 @@ def _poly_design(Z: np.ndarray, degree: int) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def variance_np_polyseq(
-    data: TrialData, network_term: float, max_degree: int = 5, rel_tol: float = 0.05
-) -> VarianceReport:
+def variance_np_polyseq(data: TrialData, network_term: float) -> VarianceReport:
     """Variance for the nonparametric estimator via growing polynomial fits.
 
     Evaluates the four-component variance (variance_reg, with the same
     network term at every degree) with per-coordinate monomials
     z_k, ..., z_k^d (no cross terms) for d = 0, 1, 2, ... and stops once the
-    value stabilizes (relative change below rel_tol), the expansion becomes
-    ill-conditioned, or max_degree is reached.  Returns the VarianceReport
-    of the last degree fitted, or on stabilization of the degree before it
-    (slightly conservative), so rel_tol = inf returns the degree-0 report.
+    value stabilizes (relative change at most POLYSEQ_REL_TOL), the expansion
+    becomes ill-conditioned, or POLYSEQ_MAX_DEGREE is reached.  Returns the
+    VarianceReport of the last degree fitted, or on stabilization of the
+    degree before it (slightly conservative).
     """
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
     reports: list[VarianceReport] = []
-    for degree in range(max_degree + 1):
+    for degree in range(POLYSEQ_MAX_DEGREE + 1):
         expanded = replace(data, Z=_poly_design(data.Z, degree))
         try:
             fit = linear_adjusted(expanded)
@@ -352,6 +350,6 @@ def variance_np_polyseq(
         reports.append(variance_reg(expanded, fit, network_term))
         if degree >= 1:
             prev, last = reports[-2].v_hat, reports[-1].v_hat
-            if abs(last - prev) <= rel_tol * max(abs(prev), 1e-300):
+            if abs(last - prev) <= POLYSEQ_REL_TOL * max(abs(prev), 1e-300):
                 return reports[-2]
     return reports[-1]

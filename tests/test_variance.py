@@ -403,30 +403,26 @@ def test_variance_reg_components_nonnegative():
 
 def test_confidence_interval_matches_erf_oracle():
     import mpmath
+    from scipy.special import ndtri
 
+    # the constant is the quantile the intervals used before it, bit for bit
+    assert netate.variance.Z_LEVEL == ndtri(0.5 + netate.variance.LEVEL / 2)
     z = float(mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf("0.95")))
-    lo, hi = confidence_interval(0.0, 1.0, 100, 0.95)
+    lo, hi = confidence_interval(0.0, 1.0, 100)
     assert hi == pytest.approx(z / 10.0, abs=1e-4)
     assert hi == pytest.approx(0.19600, abs=1e-4)
     assert lo == -hi
 
 
-def test_confidence_interval_monotone_in_level():
-    widths = [
-        confidence_interval(0.0, 2.0, 50, lvl)[1] for lvl in (0.5, 0.8, 0.9, 0.95, 0.99)
-    ]
-    assert all(a < b for a, b in zip(widths, widths[1:]))
-
-
 def test_confidence_interval_degenerate_and_invalid():
-    assert confidence_interval(1.5, 0.0, 10, 0.95) == (1.5, 1.5)
+    assert confidence_interval(1.5, 0.0, 10) == (1.5, 1.5)
     with pytest.raises(InvalidVarianceError):
-        confidence_interval(0.0, -1e-9, 10, 0.95)
+        confidence_interval(0.0, -1e-9, 10)
 
 
 def test_confidence_interval_width_scales_with_n():
-    w1 = confidence_interval(0.0, 3.0, 100, 0.95)[1]
-    w2 = confidence_interval(0.0, 3.0, 400, 0.95)[1]
+    w1 = confidence_interval(0.0, 3.0, 100)[1]
+    w2 = confidence_interval(0.0, 3.0, 400)[1]
     assert w1 == pytest.approx(2 * w2, rel=1e-12)
 
 
@@ -444,16 +440,17 @@ def test_polyseq_linear_truth_stabilizes_at_degree_one():
     data = linear_data(n=800, seed=3, noise=0.5)
     fit = linear_adjusted(data)
     v1 = variance_reg(data, fit, 0.0).v_hat
-    got = variance_np_polyseq(data, 0.0, max_degree=4, rel_tol=0.05).v_hat
+    got = variance_np_polyseq(data, 0.0).v_hat
     assert got == pytest.approx(v1, rel=0.06)
 
 
-def test_polyseq_infinite_tolerance_returns_degree_zero():
+def test_polyseq_infinite_tolerance_returns_degree_zero(monkeypatch):
+    monkeypatch.setattr(netate.variance, "POLYSEQ_REL_TOL", math.inf)
     data = linear_data(n=200, seed=4, noise=0.5)
 
     fit0 = linear_adjusted(replace(data, Z=np.empty((200, 0))))
     v0 = variance_reg(replace(data, Z=np.empty((200, 0))), fit0, 0.0).v_hat
-    got = variance_np_polyseq(data, 0.0, rel_tol=math.inf).v_hat
+    got = variance_np_polyseq(data, 0.0).v_hat
     assert got == v0
 
 
@@ -463,7 +460,7 @@ def test_polyseq_singular_expansion_stops_gracefully():
     Z = np.column_stack([np.full(n, 2.0)])  # constant column: degree-1 design singular
     w = (rng.random(n) < 0.5).astype(int)
     data = TrialData(Y=rng.standard_normal(n), W=w, Z=Z, pi=0.5)
-    got = variance_np_polyseq(data, 0.0, rel_tol=1e-9).v_hat
+    got = variance_np_polyseq(data, 0.0).v_hat
 
     fit0 = linear_adjusted(replace(data, Z=np.empty((n, 0))))
     v0 = variance_reg(replace(data, Z=np.empty((n, 0))), fit0, 0.0).v_hat
@@ -472,8 +469,8 @@ def test_polyseq_singular_expansion_stops_gracefully():
 
 def test_polyseq_network_term_added():
     data = linear_data(n=300, seed=6, noise=0.5)
-    base = variance_np_polyseq(data, 0.0, rel_tol=0.05).v_hat
-    with_net = variance_np_polyseq(data, 0.5, rel_tol=0.05).v_hat
+    base = variance_np_polyseq(data, 0.0).v_hat
+    with_net = variance_np_polyseq(data, 0.5).v_hat
     assert with_net == pytest.approx(base + 0.5, rel=1e-9)
 
 
