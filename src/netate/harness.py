@@ -166,19 +166,26 @@ def get_scenario(
     pi: float | None = None,
     interference: bool | None = None,
     np_alpha: float | None = None,
-    period: str = "morning",
+    period: str | None = None,
     contacts_path=None,
 ) -> Scenario:
-    """Build a registered scenario, optionally overriding its knobs."""
+    """Build a registered scenario, optionally overriding its knobs.
+
+    `period` (default "morning") and `contacts_path` choose the contact network,
+    so they are a ValueError on any scenario but contact-vaccine.
+    """
     if scenario_id not in _PRESETS:
         raise UnknownScenarioError(f"unknown scenario {scenario_id!r}; known: {scenario_ids()}")
     fixed = scenario_id == "contact-vaccine"
+    for name, value in (("period", period), ("contacts_path", contacts_path)):
+        if value is not None and not fixed:
+            raise ValueError(f"{name} applies to the contact-vaccine scenario only, not {scenario_id!r}")
     base = Scenario(
         id=scenario_id,
         outcome=OutcomeModel(scenario_id, p=1 if p is None else p),
         pi=_PRESETS[scenario_id][0],
         graphon=None if fixed else make_graphon("paper-sec3"),
-        network=contact_network(period, contacts_path) if fixed else None,
+        network=contact_network("morning" if period is None else period, contacts_path) if fixed else None,
     )
     if pi is not None:
         base = replace(base, pi=float(pi))
@@ -722,7 +729,8 @@ def reproduce_table(
 
     `budget` scales the replicate count (1.0 = the full TABLE_REPS); scaled runs
     are labeled and carry the Monte Carlo widening factor sqrt(TABLE_REPS/reps).
-    `contacts` may map "morning"/"midday" to user-supplied contact files.
+    `contacts` may map "morning"/"midday" to user-supplied contact files for
+    table5 and table6; any other key or table is a ValueError.
     Returns a report dict of cells with computed and reference values, and
     writes report.json when out_dir is given.
     """
@@ -730,6 +738,11 @@ def reproduce_table(
         raise ValueError(f"unknown table {table_id!r}; choose from {TABLE_IDS}")
     reps = _scaled_reps(budget)
     contacts = contacts or {}
+    if contacts and table_id not in ("table5", "table6"):
+        raise ValueError(f"contacts apply to table5 and table6 only, not {table_id!r}")
+    unknown = [key for key in contacts if key not in ("morning", "midday")]
+    if unknown:
+        raise ValueError(f"contacts keys must be 'morning' or 'midday', got {unknown}")
     report = {
         "table": table_id,
         "reps": reps,

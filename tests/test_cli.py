@@ -316,6 +316,16 @@ def test_reproduce_bad_budget_exits_2_before_any_replicate(capsys, monkeypatch, 
     assert err == f"error: budget must be a finite number > 0, got {float(budget)!r}\n"
 
 
+def test_reproduce_contacts_for_a_table_without_contact_networks_exits_2(capsys, monkeypatch):
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("run_scenario was called")
+
+    monkeypatch.setattr(harness_module, "run_scenario", no_replicates)
+    code = main(["reproduce", "--table", "fig3", "--budget", "0.02", "--contacts-morning", "/nonexistent.csv"])
+    out, err = capsys.readouterr()
+    _assert_one_error_line(code, out, err, "contacts apply to table5 and table6 only, not 'fig3'")
+
+
 def test_simulate_graphon_override_uses_its_rank(capsys, monkeypatch, tmp_path):
     ranks = []
     original = harness_module.leading_eigenpairs

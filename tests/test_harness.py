@@ -96,6 +96,14 @@ def test_contact_scenario_rejects_missing_file_and_bad_period(tmp_path):
         get_scenario("contact-vaccine", period="evening")
 
 
+@pytest.mark.parametrize("option", [{"period": "midday"}, {"contacts_path": "/nonexistent.csv"}],
+                         ids=["period", "contacts_path"])
+def test_contact_options_rejected_off_the_contact_scenario(option):
+    # they choose the contact network, which a graphon scenario does not have
+    with pytest.raises(ValueError, match=f"{next(iter(option))} applies to the contact-vaccine scenario only"):
+        get_scenario("sec41-main", **option)
+
+
 def test_self_loop_warning_names_the_caller(tmp_path):
     # the warning skips get_scenario, contact_network and load_edge_list to name this file
     path = tmp_path / "contacts.csv"
@@ -489,6 +497,19 @@ def test_reproduce_table5_smoke():
 def test_reproduce_rejects_nonpositive_or_nonfinite_budget(budget):
     with pytest.raises(ValueError, match="budget must be a finite number > 0"):
         reproduce_table("table5", budget=budget)
+
+
+@pytest.mark.parametrize("table_id, contacts, message", [
+    ("fig3", {"morning": "/nonexistent.csv"}, "contacts apply to table5 and table6 only, not 'fig3'"),
+    ("table6", {"evening": "/nonexistent.csv"}, r"contacts keys must be 'morning' or 'midday', got \['evening'\]"),
+], ids=["table", "key"])
+def test_reproduce_rejects_contacts_that_choose_no_network(monkeypatch, table_id, contacts, message):
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("run_scenario was called")
+
+    monkeypatch.setattr("netate.harness.run_scenario", no_replicates)
+    with pytest.raises(ValueError, match=message):
+        reproduce_table(table_id, budget=0.02, contacts=contacts)
 
 
 def test_reproduce_missing_contacts_file():
