@@ -9,13 +9,16 @@ nothing; where a copy is not found, reads give 1 thread and sets do nothing.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib
 import os
+import threading
 from pathlib import Path
 
 _SUFFIX = {"numpy": "64_", "scipy": ""}
+_PIN = threading.Lock()  # one pin at a time, so each restores the count it found
 
 
 @functools.cache
@@ -62,4 +65,23 @@ def set_openblas_threads(count: int) -> None:
     for package in _SUFFIX:
         lib = _openblas(package)
         if lib:
+            lib[1](count)
+
+
+@contextlib.contextmanager
+def one_numpy_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, then restore its count.
+
+    Nothing changes where that library is not found.
+    """
+    lib = _openblas("numpy")
+    if lib is None:
+        yield
+        return
+    with _PIN:
+        count = lib[0]()
+        lib[1](1)
+        try:
+            yield
+        finally:
             lib[1](count)

@@ -2,8 +2,12 @@
 
 Replicates are seeded from (master seed, replicate index) through a
 SeedSequence, run serially or across a process pool, and aggregated in
-replicate order in the parent, so every summary is bit-identical for any
-worker count.  Draws inside a replicate follow a fixed order: latents,
+replicate order in the parent.  No number depends on the BLAS threads a
+process runs, which differ between a pool child and the parent: the dense
+eigh runs on one thread (leading_eigenpairs), and the Lanczos products on
+several threads sum each row as one thread does; tools/seeded_digests.py
+checks both at one and two threads.  So every summary is bit-identical for
+any worker count.  Draws inside a replicate follow a fixed order: latents,
 graph, treatments, covariates, outcome noise.
 """
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._blas import thread_budget
+from ._blas import one_numpy_thread, thread_budget
 from ._errors import InvalidVarianceError, SingularDesignError
 from .estimators import EstimateResult, linear_adjusted
 from .graphon import Network, require_positive_degrees
@@ -105,6 +105,15 @@ def leading_eigenpairs(network: Network, r: int) -> SpectralDecomposition:
     without edges returns eigenvalues 0 with the first r unit vectors on
     both paths.
 
+    The dense ``eigh`` runs on one thread of numpy's bundled OpenBLAS
+    (``_blas.one_numpy_thread``), whatever the thread budget, so its
+    eigenpairs, and every seeded summary, are bit-identical at any worker
+    count and any ``OPENBLAS_NUM_THREADS``: on two threads LAPACK returned
+    eigenvectors whose last bits differ from the one-thread result, which
+    moved variance fields by up to 1.7e-13 relative.  The cost is small:
+    one thread took 5.0 ms against 5.3 on two at n = 236, and 10.5 against
+    9.5 ms at n = 300 (medians of 60 alternations, 2-core Xeon).
+
     LANCZOS_TOL = 1e-11 stops ARPACK once each Ritz pair's residual
     estimate is at most 1e-11 |lambda_k|, so a Lanczos residual is about
     1e-11 |lambda_1| at most, five orders inside the invariant (measured:
@@ -160,7 +169,8 @@ def leading_eigenpairs(network: Network, r: int) -> SpectralDecomposition:
     if not 1 <= r <= n:
         raise ValueError(f"rank r must lie in 1..{n}")
     if n <= DENSE_EIG_THRESHOLD or r >= n - 1:
-        vals, vecs = np.linalg.eigh(network.adjacency.toarray())
+        with one_numpy_thread():  # its bits would vary with the thread count; see above
+            vals, vecs = np.linalg.eigh(network.adjacency.toarray())
         order = np.argsort(-np.abs(vals), kind="stable")[:r]
     elif network.adjacency.nnz == 0:
         # ARPACK rejects the zero matrix; this is what the dense path returns

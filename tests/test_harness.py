@@ -144,10 +144,12 @@ def test_run_scenario_deterministic():
     assert c.methods["linear:spectral"].mean != a.methods["linear:spectral"].mean
 
 
-def test_run_scenario_worker_invariance_small():
-    s = get_scenario("sec41-main", p=1)
-    one = run_scenario(s, 100, ("np", "dim"), reps=6, seed=9, workers=1)
-    two = run_scenario(s, 100, ("np", "dim"), reps=6, seed=9, workers=2)
+@pytest.mark.parametrize("n, p", [(100, 1), (300, 5)])
+def test_run_scenario_worker_invariance_small(n, p):
+    # n = 300 runs the dense eigh, whose bits would vary with the BLAS threads a pool child runs
+    s = get_scenario("sec41-main", p=p)
+    one = run_scenario(s, n, ("np", "dim"), reps=6, seed=9, workers=1)
+    two = run_scenario(s, n, ("np", "dim"), reps=6, seed=9, workers=2)
     assert one.to_dict() == two.to_dict()
     assert (one.methods["np:polyseq"].estimates == two.methods["np:polyseq"].estimates).all()
 
@@ -164,6 +166,20 @@ def test_pool_children_split_the_cores():
     share = max(1, _blas.usable_cores() // 2)
     with _worker_pool(2) as pool:
         assert pool.submit(_child_openblas_threads).result(timeout=60) == (share, share, share)
+
+
+def test_one_numpy_thread_restores_the_count():
+    lib = _blas._openblas("numpy")
+    if lib is None:
+        pytest.skip("no bundled OpenBLAS found")
+    before = lib[0]()
+    lib[1](2)
+    try:
+        with _blas.one_numpy_thread():
+            assert lib[0]() == 1
+        assert lib[0]() == 2
+    finally:
+        lib[1](before)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

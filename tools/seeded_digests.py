@@ -1,6 +1,9 @@
 """Print one sha256 per seeded output; diff two trees' listings for byte identity.
 
 Run as `PYTHONPATH=src python tools/seeded_digests.py` in each tree; about 8 s on two cores.
+Make each tree's listing twice, with `OPENBLAS_NUM_THREADS=1` and with the variable unset, and
+compare all four: a seeded output must not depend on the BLAS thread count (a pool child runs
+fewer threads than its parent), so the two listings of one tree must be identical too.
 Cases: the quadrature oracles (graphon_b and graphon_degree_profile on paper-sec3, constant:0.7
 and rank1:1+x, a rank1: graphon's normalisation, kernel_moment), leading_eigenpairs on a
 paper-sec3 graph of n=3000 (about 1.2M stored entries, so its Lanczos products run by row blocks
