@@ -148,12 +148,12 @@ def contact_network(period: str = "morning", path=None) -> Network:
     dropped.  The bundled files are synthetic stand-ins for the real
     classroom RFID data, whose source demos/make_contact_stand_in.py names.
     """
-    if path is not None:
-        ref = Path(path)
-    elif period in ("morning", "midday"):
+    if period not in ("morning", "midday"):
+        raise ValueError("period must be 'morning' or 'midday'")
+    if path is None:
         ref = resources.files("netate.data") / f"synthetic_contacts_{period}.csv"
     else:
-        raise ValueError("period must be 'morning' or 'midday'")
+        ref = Path(path)
     if not ref.is_file():
         raise FileNotFoundError(
             f"contact file {ref} not found; expected a CSV of 'i,j,count' rows "

@@ -96,6 +96,13 @@ def test_contact_scenario_rejects_missing_file_and_bad_period(tmp_path):
         get_scenario("contact-vaccine", period="evening")
 
 
+def test_contact_period_checked_with_a_contact_file(tmp_path):
+    path = tmp_path / "contacts.csv"
+    path.write_text("0,1,3\n1,2,3\n0,2,3\n")
+    with pytest.raises(ValueError, match="period must be"):
+        get_scenario("contact-vaccine", period="evening", contacts_path=path)
+
+
 @pytest.mark.parametrize("option", [{"period": "midday"}, {"contacts_path": "/nonexistent.csv"}],
                          ids=["period", "contacts_path"])
 def test_contact_options_rejected_off_the_contact_scenario(option):
