@@ -84,6 +84,11 @@ def test_estimate_b_consistency_drift():
 # eigenpairs
 # ---------------------------------------------------------------------------
 
+def assert_residual_contract(dec, net):
+    """Both eigen paths promise ||A psi_k - lambda_k psi_k|| <= 1e-6 ||A|| for every pair."""
+    assert (dec.residual_norms(net) <= 1e-6 * dec.operator_norm()).all()
+
+
 def test_eigenpairs_triangle():
     spec = leading_eigenpairs(complete_graph(3), 1)
     assert spec.eigenvalues[0] == pytest.approx(2.0, abs=1e-8)
@@ -105,7 +110,7 @@ def test_eigenpairs_two_blocks():
     spec = leading_eigenpairs(net, 2)
     assert np.allclose(np.abs(spec.eigenvalues), [3.0, 3.0], atol=1e-8)
     # residual invariant, not eigenvector layout: any basis of the eigenspace passes
-    assert (spec.residual_norms(net) <= 1e-6 * spec.operator_norm()).all()
+    assert_residual_contract(spec, net)
 
 
 def test_eigenpairs_invariants_on_random_graph():
@@ -117,7 +122,7 @@ def test_eigenpairs_invariants_on_random_graph():
     gram = dec.eigenvectors.T @ dec.eigenvectors
     assert np.allclose(gram, np.eye(3), atol=1e-8)
     assert np.allclose(np.linalg.norm(dec.eigenvectors, axis=0), 1.0, atol=1e-10)
-    assert (dec.residual_norms(net) <= 1e-6 * dec.operator_norm()).all()
+    assert_residual_contract(dec, net)
 
 
 def test_eigenpairs_lanczos_path_matches_dense():
@@ -130,7 +135,7 @@ def test_eigenpairs_lanczos_path_matches_dense():
     dense = np.linalg.eigvalsh(net.adjacency.toarray())
     top = dense[np.argsort(-np.abs(dense))[:3]]
     assert np.allclose(np.sort(dec.eigenvalues), np.sort(top), atol=1e-6)
-    assert (dec.residual_norms(net) <= 1e-6 * dec.operator_norm()).all()
+    assert_residual_contract(dec, net)
 
 
 def paper_trial(n, seed):
@@ -145,7 +150,9 @@ def paper_trial(n, seed):
     return net, TrialData(Y=y, W=w, Z=draw.Z, pi=0.5)
 
 
-@pytest.mark.parametrize("n,seed", [(500, s) for s in range(3)] + [(1000, s) for s in range(13)])
+@pytest.mark.parametrize(
+    "n,seed", [(301, s) for s in range(3)] + [(500, s) for s in range(3)] + [(1000, s) for s in range(13)]
+)
 def test_eigenpairs_dense_and_lanczos_agree_downstream(monkeypatch, n, seed):
     # the two paths must give the same network term, not just valid pairs:
     # Lanczos stops at LANCZOS_TOL, and its residuals must show that it did
@@ -159,9 +166,10 @@ def test_eigenpairs_dense_and_lanczos_agree_downstream(monkeypatch, n, seed):
     (decd, wd, dd), (decl, wl, dl) = out["dense"], out["lanczos"]
     vd, vl = decd.eigenvalues, decl.eigenvalues
     assert np.max(np.abs(vl - vd)) <= 1e-10 * abs(vd[0])
-    assert np.max(np.abs(wl - wd)) <= 1e-9 * np.max(np.abs(wd))
-    assert dl == pytest.approx(dd, rel=1e-9)
-    assert (decl.residual_norms(net) <= 2 * netate.variance.LANCZOS_TOL * abs(vl[0])).all()
+    tol = netate.variance.LANCZOS_TOL
+    assert np.max(np.abs(wl - wd)) <= 100 * tol * np.max(np.abs(wd))
+    assert dl == pytest.approx(dd, rel=100 * tol)
+    assert (decl.residual_norms(net) <= 2 * tol * abs(vl[0])).all()
 
 
 def test_eigenpairs_lanczos_sees_antisymmetric_directions():
@@ -173,7 +181,7 @@ def test_eigenpairs_lanczos_sees_antisymmetric_directions():
     dec = leading_eigenpairs(net, 3)
     closed_form = np.sort(np.abs(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))))[::-1]
     assert np.allclose(np.abs(dec.eigenvalues), closed_form[:3], rtol=0, atol=1e-10)
-    assert (dec.residual_norms(net) <= 1e-6 * dec.operator_norm()).all()
+    assert_residual_contract(dec, net)
 
 
 def test_eigenpairs_lanczos_cycle_invariants():
@@ -182,7 +190,7 @@ def test_eigenpairs_lanczos_cycle_invariants():
     net = Network.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
     dec = leading_eigenpairs(net, 3)
     assert np.allclose(dec.eigenvectors.T @ dec.eigenvectors, np.eye(3), atol=1e-10)
-    assert (dec.residual_norms(net) <= 1e-6 * dec.operator_norm()).all()
+    assert_residual_contract(dec, net)
 
 
 def test_eigenpairs_empty_graph_on_lanczos_path():
