@@ -27,10 +27,20 @@ import scipy.sparse as sp
 from ._errors import IsolatedVertexError, QuadratureError, UnknownGraphonError
 
 # upper-triangle pairs per block of sample_graph; a block holds
-# max(1, _BLOCK_PAIRS // n) whole rows.  Medians of 15 paper-sec3 calls on a
-# 2-core Xeon, two sweeps, with 8 / 32 / 128 / 512 K pairs: 20-21 / 15 / 11 /
-# 14-16 ms at n=1000 and 279-306 / 191-223 / 190-195 / 245-251 ms at n=4000
-_BLOCK_PAIRS = 128 * 1024
+# max(1, min(_BLOCK_PAIRS // n, _BLOCK_ROWS)) whole rows.  Medians of 15
+# paper-sec3 calls (7 at n=4000) on a 2-core Xeon, two sweeps, with no row
+# cap and 16 / 32 / 64 / 128 / 256 K pairs: 6.8 / 6.3-6.5 / 6.2-6.3 /
+# 6.8-7.4 / 7.3-8.0 ms at n=1000, 24.7-25.5 / 23.4-25.4 / 23.4-23.7 /
+# 22.8-23.8 / 24.9-26.1 ms at n=2000 and 92-112 / 75-98 / 76-90 / 77-100 /
+# 81-86 ms at n=4000
+_BLOCK_PAIRS = 64 * 1024
+# a block's rectangle also evaluates h on the r(r-1)/2 pairs below the
+# diagonal, so r is capped where that waste and the block's fixed cost of
+# about ten numpy calls balance.  Medians of 31 calls at 64 K pairs, same
+# sweeps, 32 / 64 / 128 / no cap: 0.86-0.93 / 0.81-0.85 / 0.85-0.89 /
+# 0.91-0.94 ms at n=300 and 1.74-1.80 / 1.59-1.79 / 1.62-1.83 /
+# 1.68-1.82 ms at n=500
+_BLOCK_ROWS = 64
 
 __all__ = [
     "GraphonSpec",
@@ -50,9 +60,11 @@ class GraphonSpec:
     Parameters
     ----------
     h : callable
-        Symmetric function on [0, 1]^2: two arrays in, an array of their
-        broadcast shape out.  Two scalars give a 0-d result, which the
-        quadrature oracles convert with float().
+        Symmetric function on [0, 1]^2: two arrays in, a new array of their
+        broadcast shape out.  `sample_graph` calls it on a (rows, 1) array
+        and a (1, columns) array and scales the (rows, columns) result in
+        place.  Two scalars give a 0-d result, which the quadrature oracles
+        convert with float().
     sparsity_exponent : float
         gamma >= 0 in rho_n = n**(-gamma); 0 means dense.
     rank_hint : int, optional
@@ -296,39 +308,49 @@ def sample_graph(spec: GraphonSpec, latents: np.ndarray, rng: np.random.Generato
     """Draw a graph: each pair i < j connected with prob min(rho_n h(U_i,U_j), 1).
 
     Pairs are visited in row-major upper-triangle order, a block of whole
-    rows at a time: each block calls `spec.h` on two equal-length 1-D arrays
-    and draws one uniform per pair.  Consecutive `rng.random` calls continue
-    one stream, so the draws, the edges and the generator's state afterwards
-    are exactly those of a single n(n-1)/2 draw.  Memory is the adjacency
-    plus O(_BLOCK_PAIRS).  No clamp at 1 is needed: a uniform from
-    [0, 1) is below min(rho_n h, 1) exactly when it is below rho_n h (and
-    below neither when that is NaN).  The network holds only the adjacency;
-    a caller that needs the latents keeps its own.
+    rows at a time: each block calls `spec.h` once, on the (rows, 1) latents
+    of its rows and the (1, columns) latents of the columns right of its
+    first row, scales that rectangle by rho_n in place, keeps its
+    upper-triangle entries in row-major order through one boolean mask
+    (made once per call), and draws one uniform per pair.  Consecutive
+    `rng.random` calls continue one stream, so the draws, the edges and the
+    generator's state afterwards are exactly those of a single n(n-1)/2
+    draw.  Memory is the adjacency, 8 bytes per edge for the hits' pair
+    positions, and O(_BLOCK_PAIRS).  No clamp at 1 is needed: a uniform
+    from [0, 1) is below min(rho_n h, 1) exactly when it is below rho_n h
+    (and below neither when that is NaN).  The network holds only the
+    adjacency; a caller that needs the latents keeps its own.
     """
     u = np.asarray(latents, dtype=float)
     n = u.shape[0]
     if n < 1 or ((u <= 0.0) | (u >= 1.0)).any():
         raise ValueError("latents must lie strictly inside (0, 1)")
     rho = spec.edge_density(n)
-    row_hits = np.zeros(n, dtype=np.int64)  # edges (i, j > i) of each row i
-    col_idx = _csr_index_dtype(0, n)  # a column index needs to hold n only
-    hit_cols = [np.empty(0, dtype=col_idx)]
-    block_rows = max(1, _BLOCK_PAIRS // n)
+    # first[i]: pairs before row i, so row i's pairs sit at first[i]..first[i+1]-1
+    first = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, -1, -1), out=first[1:])
+    block_rows = max(1, min(_BLOCK_PAIRS // n, _BLOCK_ROWS))
+    # upper[k, c]: column start + 1 + c of the block's row start + k lies right of the diagonal
+    upper = np.arange(n - 1) >= np.arange(min(block_rows, n - 1))[:, None]
+    hits = [np.empty(0, dtype=np.int64)]  # the pair positions of the edges, block by block
     for start in range(0, n - 1, block_rows):
-        rows = np.arange(start, min(start + block_rows, n - 1))
-        lengths = n - 1 - rows
-        ends = np.cumsum(lengths)
-        x = np.repeat(u[rows], lengths)
-        y = np.concatenate([u[i + 1:] for i in rows])
-        probs = rho * np.asarray(spec.h(x, y), dtype=float)
-        pos = np.flatnonzero(rng.random(x.shape[0]) < probs)
-        counts = np.diff(np.searchsorted(pos, ends), prepend=0)
-        row_hits[rows] = counts
-        # block position p in row i, starting at s_i, is the pair (i, p - s_i + i + 1)
-        block_cols = np.empty(pos.shape[0], dtype=col_idx)
-        np.add(pos, np.repeat(rows + 1 - (ends - lengths), counts), out=block_cols, casting="unsafe")
-        hit_cols.append(block_cols)
-    return _from_upper(n, row_hits, hit_cols)
+        stop = min(start + block_rows, n - 1)
+        probs = np.asarray(spec.h(u[start:stop, None], u[None, start + 1:]), dtype=float)
+        probs *= rho
+        probs = probs[upper[: stop - start, : n - 1 - start]]
+        pos = np.flatnonzero(rng.random(probs.shape[0]) < probs)
+        pos += first[start]
+        hits.append(pos)
+    pos = np.concatenate(hits)
+    hits.clear()
+    row_hits = np.diff(np.searchsorted(pos, first[1:]), prepend=0)  # edges (i, j > i) of each row i
+    # position p in row i, starting at first[i], is the pair (i, p - first[i] + i + 1); a column
+    # index needs to hold n only, and the list alone holds the columns, for _from_upper to empty
+    cols = [np.empty(pos.shape[0], dtype=_csr_index_dtype(0, n))]
+    shift = np.repeat(first[:-1] - np.arange(1, n + 1), row_hits)
+    np.subtract(pos, shift, out=cols[0], casting="unsafe")
+    del pos, shift
+    return _from_upper(n, row_hits, cols)
 
 
 # ---------------------------------------------------------------------------

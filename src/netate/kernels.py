@@ -3,8 +3,12 @@
 Conventions:
   - one-dimensional kernels on |t| <= 1, zero outside:
       order 2:  (3/4)(1 - t^2)
-      order 4:  (45/32)(1 - t^2)(1 - 7 t^2 / 3)
+      order 4:  (45/32)(1 - t^2)(1 - 7 t^2 / 3) = (105/32)(1 - t^2)(3/7 - t^2)
       order 6:  (525/256)(1 - t^2)(1 - 6 t^2 + 33 t^4 / 5)
+                = (3465/256)(1 - t^2)((t^2 - 10/11) t^2 + 5/33)
+    each evaluated in its second form: its polynomial has leading
+    coefficient 1, so no pass scales it, and the constant in front (C_q,
+    _CONSTANTS) multiplies the sums once.
   - the p-dimensional kernel is the coordinate product, supported on the
     unit max-norm cube.
 
@@ -32,10 +36,10 @@ two paths from the config alone:
     coordinate in O(n k + _BLOCK_BYTES) memory.  The covariates are divided
     by h once, the panels hold the unscaled products of (1 - t^2) poly_q(t^2),
     clamped at 0 outside the support, and the constant C_q^p multiplies the
-    (n, k) sums at the end: 8 array passes per coordinate for order 4 (7
-    for the first), where scaling each difference and each factor and
-    masking the support took 11.  It is also the tests' reference for the
-    window sums.
+    (n, k) sums at the end: 7 array passes per coordinate for order 4 (6
+    for the first) and 9 for order 6 (8), where scaling each difference and
+    each factor and masking the support took 11 for order 4.  It is also
+    the tests' reference for the window sums.
 Neither makes an n x n array.
 """
 
@@ -56,11 +60,16 @@ __all__ = [
 ]
 
 _ORDERS = (2, 4, 6)
-# C_q: each order's kernel is C_q (1 - t^2) poly_q(t^2) on |t| <= 1
-_CONSTANTS = {2: 0.75, 4: 45.0 / 32.0, 6: 525.0 / 256.0}
+# C_q: each order's kernel is C_q (1 - t^2) poly_q(t^2) on |t| <= 1, with poly_q of
+# leading coefficient 1: C_4 = (45/32)(7/3) and C_6 = (525/256)(33/5), both exact
+_CONSTANTS = {2: 0.75, 4: 105.0 / 32.0, 6: 3465.0 / 256.0}
 # bytes per scratch buffer of the symmetric pass: each panel is about
-# this size, so the buffers stay in L2; on a 2-core Xeon, 64-512 KiB
-# timed the same within noise and 128 KiB was fastest
+# this size, so the three buffers stay in L2.  Medians of 5 weights_matrix
+# calls at n = 1000 on a 2-core Xeon, 10 alternations of 64 / 128 / 256 /
+# 512 KiB, three sweeps: 256 KiB beat 128 KiB in 10, 7 and 10 of 10 at
+# p = 5 (0.5-6% in the median) but in 6, 7 and 8 of 10 at p = 8, 512 KiB
+# in 3-7 of 10, and 64 KiB was 5-42% slower.  A new size also moves every
+# p >= 2 sum by rounding, since the panels set the order of the sums
 _BLOCK_BYTES = 128 * 1024
 
 
@@ -106,27 +115,24 @@ def _kernel_1d(q: int, s: np.ndarray, out: np.ndarray, scale: float = 1.0) -> np
 
     C_q is the kernel's constant (_CONSTANTS), so scale = C_q gives the
     kernel itself and the default gives the unscaled (1 - t^2) * poly_q(t^2)
-    of the closed form above.  s must be a float array of out's shape, and
-    it is overwritten.  The polynomial is evaluated in the closed form's
-    operation order, then max(1 - t^2, 0), times scale when scale != 1, is
-    multiplied into it: the clamp is the support indicator, so a weight
-    outside the support is a zero signed like its polynomial.  Inside the
-    support, poly * (C_q * (1 - t^2)) is the product the closed form gives,
-    bit for bit.
+    of the second closed forms above.  s must be a float array of out's
+    shape, and it is overwritten.  The polynomial is evaluated in that
+    form's operation order, then max(1 - t^2, 0), times scale when
+    scale != 1, is multiplied into it: the clamp is the support indicator,
+    so a weight outside the support is a zero signed like its polynomial.
+    Inside the support, poly * (C_q * (1 - t^2)) is the product the closed
+    form gives, bit for bit.
     """
     if q == 2:
         u = out  # the polynomial is 1
     else:
         u = s
         if q == 4:
-            np.multiply(s, 7.0 / 3.0, out=out)
-            np.subtract(1.0, out, out=out)  # 1 - 7 t^2 / 3
+            np.subtract(3.0 / 7.0, s, out=out)  # 3/7 - t^2
         else:
-            r = (33.0 / 5.0) * s
-            r *= s
-            np.multiply(s, 6.0, out=out)
-            np.subtract(1.0, out, out=out)
-            out += r  # 1 - 6 t^2 + 33 t^4 / 5
+            np.subtract(s, 10.0 / 11.0, out=out)
+            out *= s
+            out += 5.0 / 33.0  # (t^2 - 10/11) t^2 + 5/33
     np.subtract(1.0, s, out=u)
     np.maximum(u, 0.0, out=u)
     if scale != 1.0:
@@ -159,9 +165,10 @@ def _fill_block(block, Zt, at, config: KernelConfig, t, k_buf) -> None:
     Zt and at hold the covariates already divided by h, so t is the scaled
     difference.  t and k_buf are scratch of block's shape.  The p factors
     are multiplied in coordinate order, as a whole-matrix loop over the
-    coordinates would multiply them: the difference, its square, five
-    passes of the order-4 kernel (_kernel_1d) and the product make 8 array
-    passes per coordinate, 7 for the first, which writes into block itself.
+    coordinates would multiply them: the difference, its square, four
+    passes of the order-4 kernel (_kernel_1d) and the product make 7 array
+    passes per coordinate, 6 for the first, which writes into block itself;
+    order 6 takes two passes more.
     """
     for k in range(config.p):
         np.subtract(Zt[k], at[:, k, None], out=t)

@@ -27,12 +27,13 @@ def whole_matrix_weights(Z, config, at=None):
     """Dense reference: K((z_j - at_i)/h) over all (m, n) pairs, one coordinate's factor at a time.
 
     `at` defaults to Z, which gives the (n, n) weights of the sample about
-    itself.  Each factor is the closed form of the kernel module, C_q times
-    the unscaled factor and masked off the support, so a single scaled
-    factor (_kernel_1d with scale C_q, as kernel_moment evaluates it)
-    matches it bit for bit.  The symmetric pass divides the covariates by h
-    before differencing and applies C_q^p to the sums, so its sums match
-    K @ rhs to rounding, not bit for bit.
+    itself.  Each factor is the second closed form of the kernel module,
+    C_q times the unscaled factor (its polynomial of leading coefficient 1)
+    and masked off the support, so a single scaled factor (_kernel_1d with
+    scale C_q, as kernel_moment evaluates it) matches it bit for bit.  The
+    symmetric pass divides the covariates by h before differencing and
+    applies C_q^p to the sums, so its sums match K @ rhs to rounding, not
+    bit for bit.
     """
     at = Z if at is None else at
     out = np.ones((at.shape[0], Z.shape[0]))
@@ -43,12 +44,12 @@ def whole_matrix_weights(Z, config, at=None):
         if config.q == 2:
             factor = 0.75 * np.maximum(u, 0.0)
         elif config.q == 4:
-            factor = (45.0 / 32.0) * u
-            factor *= 1.0 - (7.0 / 3.0) * t2
+            factor = (105.0 / 32.0) * u
+            factor *= 3.0 / 7.0 - t2
             factor *= u > 0.0
         else:
-            factor = (525.0 / 256.0) * u
-            factor *= 1.0 - 6.0 * t2 + (33.0 / 5.0) * t2 * t2
+            factor = (3465.0 / 256.0) * u
+            factor *= (t2 - 10.0 / 11.0) * t2 + 5.0 / 33.0
             factor *= u > 0.0
         out *= factor
     return out

@@ -170,6 +170,26 @@ def test_blocked_sampler_matches_reference_at_default_block():
     assert rng_blocked.random() == rng_ref.random()
 
 
+@pytest.mark.parametrize("n, block_rows", [(100, None), (300, None), (BLOCK_ROWS + 1, BLOCK_ROWS),
+                                           (41, BLOCK_ROWS)])
+def test_sampler_calls_h_on_row_by_column_rectangles(monkeypatch, n, block_rows):
+    # sample_graph calls h on (rows, 1) and (1, columns) latents; any h that
+    # broadcasts gives the pairwise draw bit for bit, at the default block
+    # size and across block boundaries
+    if block_rows is not None:
+        monkeypatch.setattr(graphon, "_BLOCK_PAIRS", block_rows * n)
+    # numpy ufuncs only and no upper_bound: the broadcast contract of GraphonSpec.h alone
+    spec = graphon.GraphonSpec(h=lambda x, y: 0.5 + 0.4 * np.cos(3 * (x - y)), name="cosine")
+    u = sample_latents(n, rng_for(27, n))
+    rng_ref, rng_blocked = rng_for(28, n), rng_for(28, n)
+    ref, _ = pairwise_sample_graph(spec, u, rng_ref)
+    net = sample_graph(spec, u, rng_blocked)
+    assert ref.nnz > 0
+    assert np.array_equal(net.adjacency.indptr, ref.indptr)
+    assert np.array_equal(net.adjacency.indices, ref.indices)
+    assert rng_blocked.random() == rng_ref.random()
+
+
 def test_every_constructor_gives_int32_indices():
     rng = rng_for(26)
     sampled = sample_graph(make_graphon("paper-sec3"), sample_latents(500, rng), rng)

@@ -237,7 +237,7 @@ def test_scaled_kernel_equals_the_closed_form_bit_for_bit(q):
     # within 1e-9 of the support's edge included
     edge = 1.0 - np.array([1e-9, 1e-12, 2.0**-52, 2.0**-53])
     t = np.concatenate([[0.0, -0.0], edge, -edge, rng_for(26, q).uniform(-1.0, 1.0, 200)])
-    c_q = {2: 0.75, 4: 45.0 / 32.0, 6: 525.0 / 256.0}[q]
+    c_q = {2: 0.75, 4: 105.0 / 32.0, 6: 3465.0 / 256.0}[q]
     got = kernels._kernel_1d(q, t * t, np.empty_like(t), c_q)
     want = whole_matrix_weights(t[:, None], cfg(q=q), at=np.zeros((1, 1)))[0]
     assert np.array_equal(got, want)
@@ -248,8 +248,8 @@ def unscaled_weights(Zs, q, at):
     """The fill's closed form: prod_k (1 - t^2) poly_q(t^2) clamped at 0, t = Zs[j, k] - at[i, k].
 
     Zs and at are covariates already divided by h, and the kernel constant
-    is left out (K / C_q^p), one coordinate's factor at a time in the
-    library's operation order.
+    is left out (K / C_q^p), so poly_q has leading coefficient 1, one
+    coordinate's factor at a time in the library's operation order.
     """
     out = np.ones((at.shape[0], Zs.shape[0]))
     for k in range(Zs.shape[1]):
@@ -259,9 +259,9 @@ def unscaled_weights(Zs, q, at):
         if q == 2:
             factor = clamp
         elif q == 4:
-            factor = (1.0 - (7.0 / 3.0) * t2) * clamp
+            factor = (3.0 / 7.0 - t2) * clamp
         else:
-            factor = (1.0 - 6.0 * t2 + (33.0 / 5.0) * t2 * t2) * clamp
+            factor = ((t2 - 10.0 / 11.0) * t2 + 5.0 / 33.0) * clamp
         out *= factor
     return out
 
@@ -344,7 +344,9 @@ def test_symmetric_sums_infinite_bandwidth(q, p):
     n = 30
     Z, V = _sums_case(rng_for(43, q, p), n, p)
     c = cfg(q=q, p=p, h=math.inf)
-    k0 = math.prod([{4: 45.0 / 32.0, 6: 525.0 / 256.0}[q]] * p)  # K_1 * ... * K_p in order
+    poly0, c_q = {4: (3.0 / 7.0, 105.0 / 32.0), 6: (5.0 / 33.0, 3465.0 / 256.0)}[q]
+    # the fill's product of poly_q(0) over the coordinates in order, then C_q^p on the sums
+    k0 = math.prod([poly0] * p) * math.prod([c_q] * p)
     assert (kernel_of(Z, c) == k0).all()
     got = weights_matrix(Z, c, rhs=V)
     want = k0 * V.sum(axis=0)

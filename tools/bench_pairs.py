@@ -18,6 +18,10 @@ the change won (ties count for neither) and two verdicts:
 The workload's entry is added to the --out file, replacing an earlier entry for it, so one file
 holds every workload; each entry names the code it measured by a sha256 of each side's `src/`
 (`src_digest`). Runs take about 30 s each at the benchmark's 22 s.
+
+Both sides import from source: every run has `PYTHONDONTWRITEBYTECODE=1`, and a checkout whose
+`src/` or `perfbench/` holds a `__pycache__` directory is refused, naming it. Bytecode left in
+one checkout only would skip compilation on that side and bias `setup_s` and `peak_rss_mb`.
 """
 
 from __future__ import annotations
@@ -40,8 +44,14 @@ def src_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
+def stale_bytecode(checkout: Path) -> list[Path]:
+    """The `__pycache__` directories under the checkout's `src/` and `perfbench/`."""
+    return sorted(d for top in ("src", "perfbench") for d in (checkout / top).rglob("__pycache__"))
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # run.py points at its own src/
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
@@ -102,6 +112,10 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True, help="BENCH_<tag>.json to add this workload to")
     args = ap.parse_args(argv)
 
+    for checkout in (args.parent, args.change):
+        if stale := stale_bytecode(checkout):
+            ap.error(f"bytecode directory {stale[0]}: remove every __pycache__ under src/ and "
+                     f"perfbench/ of {checkout}, so that both sides import from source")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds, specs = bench["run_seconds"], bench["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}

@@ -13,12 +13,13 @@ Carlo oracles (ate_oracle on every outcome model at 250 000 draws, i.e. two chun
 theoretical_variance_oracle Vreg, Vdim and Valpha on sec31-validation and Vnp on sec41-main
 p=5), run_scenario summaries (JSON plus raw estimates; only n=400 runs Lanczos) of get_scenario
 with and without its overrides and of a contact file passed by path, their emit_report files,
-reproduce_table table1/table5 at budget 0.02, `netate estimate` (also np:polyseq with the np
-tuning overrides --h-band and --b-trim), and `netate simulate` with two `--graphon` overrides
-(constant:0.5, and a rank1: graphon, so its sampler is covered), with the np tuning overrides,
-and twice with `--workers 2`, once with `--b-trim`, so the pool path is covered with the trim level
-derived and given (its replicates run in the pool children, so `--values` records none of them,
-but it compares the summary).
+reproduce_table table1/table5 at budget 0.02 (the report together with every replicate's record:
+a table's cells hold only coverage, which a moved variance need not change), `netate estimate`
+(also np:polyseq with the np tuning overrides --h-band and --b-trim), and `netate simulate` with
+two `--graphon` overrides (constant:0.5, and a rank1: graphon, so its sampler is covered), with
+the np tuning overrides, and twice with `--workers 2`, once with `--b-trim`, so the pool path is
+covered with the trim level derived and given (its replicates run in the pool children, so
+`--values` records none of them, but it compares the summary).
 
 Where outputs may move in the last digits, list the numbers themselves and compare them:
 
@@ -139,8 +140,7 @@ def run(listing: Listing) -> None:
         records.append({f"{est}:{var}": {**rec, **result.diagnostics}})
         return result, rec
 
-    if listing.values is not None:
-        harness._estimate_once = recording
+    harness._estimate_once = recording
 
     paper = make_graphon("paper-sec3")
     for key in GRAPHONS:
@@ -188,6 +188,7 @@ def run(listing: Listing) -> None:
             records.clear()
             report = reproduce_table(table, budget=0.02)
             emit(f"reproduce/{table}", json.dumps(report, sort_keys=True).encode(),
+                 json.dumps(fields(records), sort_keys=True).encode(),
                  numbers={"report": report, "replicates": records})
 
         scenario, net = get_scenario("contact-vaccine", pi=0.2), contact_network("morning")
