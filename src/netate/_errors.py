@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one way it warns."""
+"""Exception types shared across the package, and the one way it warns.
+
+Every NetateError pickles with its message and fields, so a pool child's error is the serial run's."""
 
 from __future__ import annotations
 
@@ -24,6 +26,10 @@ def warn_caller(message: str) -> None:
 
 class NetateError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # from args and fields, not through type(self)(*args): a subclass __init__ may take other arguments
+        return type(self).__new__, (type(self), *self.args), self.__dict__
 
 
 class IsolatedVertexError(NetateError):
@@ -71,10 +77,6 @@ class UnsupportedDimensionError(NetateError):
 
 class QuadratureError(NetateError):
     """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float):
-        self.achieved = float(achieved)
-        super().__init__(f"{message} (achieved error estimate {achieved:.3e})")
 
 
 class EdgeListParseError(NetateError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,7 +64,9 @@ class GraphonSpec:
         broadcast shape out.  `sample_graph` calls it on a (rows, 1) array
         and a (1, columns) array and scales the (rows, columns) result in
         place.  Two scalars give a 0-d result, which the quadrature oracles
-        convert with float().
+        convert with float().  Pool runs pickle h into their children: the
+        registry's h are module-level functions bound by functools.partial,
+        and a custom h must pickle so too; a lambda runs only with workers=1.
     sparsity_exponent : float
         gamma >= 0 in rho_n = n**(-gamma); 0 means dense.
     rank_hint : int, optional
@@ -193,11 +195,8 @@ def _from_upper(n: int, row_hits: np.ndarray, hit_cols: list[np.ndarray]) -> Net
 # Registry
 # ---------------------------------------------------------------------------
 
-def _constant_h(c: float):
-    def h(x, y):
-        return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), float(c))
-
-    return h
+def _constant_h(c: float, x, y):
+    return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), c)
 
 
 def _quadratic_h(x, y):
@@ -211,6 +210,7 @@ _EXPR_FUNCS = {f: getattr(np, f) for f in ("sin", "cos", "tan", "arcsin", "arcco
                                            "cosh", "tanh", "exp", "log", "sqrt", "abs")}
 
 
+@cache
 def _parse_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     """A function of x from `expr`: numbers, x, + - * / **, unary -, and numpy functions.
 
@@ -252,6 +252,12 @@ def _parse_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     return psi
 
 
+def _rank1_h(expr: str, norm_sq: float, scale: float, x, y):
+    psi_raw = _parse_expr(expr)
+    # lam * psi(x) * psi(y) with psi = expr / ||expr||; seeded graphs depend on this order
+    return norm_sq * (psi_raw(x) / scale) * (psi_raw(y) / scale)
+
+
 def make_graphon(key: str) -> GraphonSpec:
     """Build a registered graphon, with the paper's sparsity rho_n = n**(-0.25).
 
@@ -269,7 +275,7 @@ def make_graphon(key: str) -> GraphonSpec:
         c = float(key.split(":", 1)[1])
         if c < 0:
             raise UnknownGraphonError("constant graphon requires c >= 0")
-        return GraphonSpec(h=_constant_h(c), rank_hint=1, upper_bound=c, name=key, eigenvalues=(c,))
+        return GraphonSpec(h=partial(_constant_h, c), rank_hint=1, upper_bound=c, name=key, eigenvalues=(c,))
     if key.startswith("rank1:"):
         expr = key.split(":", 1)[1]
         psi_raw = _parse_expr(expr)
@@ -281,12 +287,7 @@ def make_graphon(key: str) -> GraphonSpec:
         if norm_sq <= 0:
             raise UnknownGraphonError("rank1 expression must have positive L2 norm")
         scale = float(np.sqrt(norm_sq))
-
-        def h(x, y):
-            # lam * psi(x) * psi(y) with psi = expr / ||expr||; seeded graphs depend on this order
-            return norm_sq * (psi_raw(x) / scale) * (psi_raw(y) / scale)
-
-        return GraphonSpec(h=h, rank_hint=1, name=key, eigenvalues=(norm_sq,))
+        return GraphonSpec(h=partial(_rank1_h, expr, norm_sq, scale), rank_hint=1, name=key, eigenvalues=(norm_sq,))
     raise UnknownGraphonError(f"unknown graphon key {key!r}")
 
 
@@ -369,7 +370,7 @@ def _quad(fn, a: float, b: float, tol: float, what: str) -> float:
     value, abserr = out[0], out[1]
     # quad can return inf with abserr inf and no warning, and inf > inf is False
     if len(out) > 3 or not np.isfinite(value) or abserr > max(tol, 10 * tol * abs(value)):
-        raise QuadratureError(f"quadrature for {what} did not converge", achieved=abserr)
+        raise QuadratureError(f"quadrature for {what} did not converge (achieved error estimate {abserr:.3e})")
     return value
 
 
@@ -396,7 +397,7 @@ def graphon_b(spec: GraphonSpec) -> float:
         if v is None:
             v = _quad(lambda z: float(spec.h(x, z)), 0.0, 1.0, inner_tol, "row integral")
             if v <= 0:
-                raise QuadratureError("row integral must be positive for the ratio", achieved=v)
+                raise QuadratureError(f"row integral must be positive for the ratio (row integral {v:.3e})")
             cache[x] = v
         return v
 

@@ -450,6 +450,9 @@ def run_scenario(
     Intervals are at variance.LEVEL and polyseq stops by variance's fixed
     rule.  For fixed-network scenarios n is the network size; the spectral
     pieces of the variance are computed once and shared.
+    With workers > 1 the children get pickled tasks (the scenario, its graphon's h
+    included, the np config and the shared spectral pieces) and send back plain-float
+    records per method, or the NetateError that a serial run would raise.
     Replicate failures are counted per method. A method that fails in more
     than 5% of replicates, every replicate included, raises
     ReplicateFailureError (a RuntimeError) quoting the count and the first

@@ -343,6 +343,35 @@ def test_simulate_graphon_override_uses_its_rank(capsys, monkeypatch, tmp_path):
     assert code == 0 and ranks == [1, 1]
 
 
+def test_simulate_graphon_override_runs_in_a_pool(capsys, tmp_path):
+    # the pool children unpickle the override's h; their summary is the serial run's
+    summaries = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        code = main(["simulate", "--scenario", "sec31-validation", "--n", "60", "--graphon", "constant:0.5",
+                     "--methods", "linear", "--reps", "4", "--workers", str(workers), "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        summaries.append((out / "summary.json").read_text())
+    assert summaries[0] == summaries[1]
+
+
+def test_reproduce_prints_each_cell_and_the_scaled_run_note(capsys):
+    code = main(["reproduce", "--table", "table5", "--budget", "0.02"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    report = harness_module.reproduce_table("table5", budget=0.02, seed=20240)
+    lines = out.splitlines()
+    assert len(lines) == 7
+    for line, cell in zip(lines, report["cells"]):
+        assert line == "  ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}" for k, v in cell.items())
+    assert [line.split("  ")[:2] for line in lines[:6]] == [
+        [f"network={period}", f"method={short}"]
+        for period in ("morning", "midday") for short in ("dim", "linear", "np")
+    ]
+    assert lines[6] == "[scaled run: 20 reps; widen Monte Carlo tolerances by 7.07]"
+
+
 @pytest.mark.parametrize("override,message", [
     (["--scenario", "sec41-main", "--p", "0"], "p must be >= 1, got 0"),
     (["--scenario", "sec41-main", "--p", "-1"], "p must be >= 1, got -1"),

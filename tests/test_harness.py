@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 from dataclasses import replace
 
@@ -7,12 +8,24 @@ import numpy as np
 import pytest
 
 from netate import (
+    AllTrimmedError,
+    EdgeListParseError,
+    EmptyGroupError,
+    InvalidAdjustmentError,
+    InvalidVarianceError,
+    IsolatedVertexError,
+    NetateError,
     OutcomeModel,
+    QuadratureError,
     ReplicateFailureError,
+    ScenarioSummary,
+    SingularDesignError,
     TrialData,
+    UnknownGraphonError,
     UnknownScenarioError,
     UnsupportedDimensionError,
     ate_oracle,
+    contact_network,
     emit_report,
     get_scenario,
     make_graphon,
@@ -22,9 +35,10 @@ from netate import (
     true_tau,
 )
 from netate import _blas
+from netate import harness as harness_module
 from netate.estimators import _np_config
-from netate.harness import TABLE_IDS, _estimate_once, _resolve_method, _worker_pool, scenario_ids
-from netate.variance import conservative_network_term, variance_np_polyseq
+from netate.harness import TABLE_IDS, MethodSummary, _estimate_once, _resolve_method, _worker_pool, scenario_ids
+from netate.variance import LEVEL, conservative_network_term, variance_np_polyseq
 
 from conftest import rng_for
 
@@ -159,6 +173,59 @@ def test_run_scenario_worker_invariance_small(n, p):
     two = run_scenario(s, n, ("np", "dim"), reps=6, seed=9, workers=2)
     assert one.to_dict() == two.to_dict()
     assert (one.methods["np:polyseq"].estimates == two.methods["np:polyseq"].estimates).all()
+
+
+@pytest.mark.parametrize("key", ["constant:0.5", "rank1:1+x"])
+def test_run_scenario_worker_invariance_registry_graphons(key):
+    # every task pickles the scenario, the graphon's h included, into a pool child
+    s = replace(get_scenario("sec31-validation"), graphon=make_graphon(key))
+    one = run_scenario(s, 100, ("linear", "dim"), reps=4, seed=9, workers=1)
+    two = run_scenario(s, 100, ("linear", "dim"), reps=4, seed=9, workers=2)
+    assert one.to_dict() == two.to_dict()
+    assert (one.methods["linear:spectral"].estimates == two.methods["linear:spectral"].estimates).all()
+
+
+def test_isolated_vertex_in_a_pool_child_raises_the_serial_error():
+    # sparse enough that the first replicate's graph has an isolated vertex
+    s = replace(get_scenario("sec31-validation"),
+                graphon=replace(make_graphon("paper-sec3"), sparsity_exponent=0.7))
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(IsolatedVertexError) as err:
+            run_scenario(s, 300, ("linear",), reps=4, seed=1, workers=workers)
+        raised.append((str(err.value), err.value.vertex))
+    assert raised[0] == raised[1]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    # a pool child's error reaches the parent pickled; a new subclass needs a case here,
+    # one instance made as the package raises it
+    cases = {
+        NetateError: NetateError("base"),
+        IsolatedVertexError: IsolatedVertexError(4),
+        EmptyGroupError: EmptyGroupError("treated group is empty"),
+        SingularDesignError: SingularDesignError("treated design matrix is rank deficient", rcond=1.5e-17),
+        AllTrimmedError: AllTrimmedError("every query point was trimmed"),
+        ReplicateFailureError: ReplicateFailureError("method np:none failed in 4/4 replicates"),
+        InvalidAdjustmentError: InvalidAdjustmentError("adjustment returned nan"),
+        InvalidVarianceError: InvalidVarianceError("variance must be >= 0"),
+        UnsupportedDimensionError: UnsupportedDimensionError("p = 11 is not supported"),
+        QuadratureError: QuadratureError("quadrature for x did not converge (achieved error estimate 1.000e-03)"),
+        EdgeListParseError: EdgeListParseError("edges.csv", 7, "expected 2 or 3 fields, got 1"),
+        UnknownScenarioError: UnknownScenarioError("unknown scenario 'x'"),
+        UnknownGraphonError: UnknownGraphonError("unknown graphon key 'x'"),
+    }
+    assert {NetateError, *_subclasses(NetateError)} == set(cases)
+    for cls, exc in cases.items():
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls, cls
+        assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc)), cls
 
 
 def _child_openblas_threads():
@@ -538,3 +605,124 @@ def test_reproduce_rejects_contacts_that_choose_no_network(monkeypatch, table_id
 def test_reproduce_missing_contacts_file():
     with pytest.raises(FileNotFoundError, match="i,j,count"):
         reproduce_table("table5", budget=0.02, contacts={"morning": "/does/not/exist.csv"})
+
+
+# the MethodSummary fields that a table cell may read
+_SUMMARY_FIELDS = ("mean", "variance", "mse", "n_mse", "coverage", "coverage_nonet", "ci_halfwidth",
+                   "mean_v_hat", "mean_kept")
+
+
+@pytest.fixture
+def recorded_runs(monkeypatch):
+    """Replace run_scenario by a recorder whose summaries hold distinct made-up numbers.
+
+    Each call is recorded as the scenario settings a cell runs, and returns
+    the summary it recorded: field i of method j in call k reads
+    100 k + 10 j + i + 1, so a cell that reads the wrong field, method or
+    call shows.
+    """
+    calls = []
+
+    def recorder(scenario, n, methods, reps, seed, workers=1, h_band=None, b_trim=None):
+        k = len(calls) + 1
+        summary = ScenarioSummary(
+            scenario_id=scenario.id, n=n, pi=scenario.pi, p=scenario.p, interference=scenario.interference,
+            tau_true=0.0, reps=reps, seed=seed, level=LEVEL,
+            methods={m: MethodSummary(m, reps, 0, **{f: 100.0 * k + 10 * j + i + 1
+                                                     for i, f in enumerate(_SUMMARY_FIELDS)},
+                                      estimates=np.zeros(reps))
+                     for j, m in enumerate(":".join(_resolve_method(m)) for m in methods)},
+        )
+        network = None if scenario.network is None else scenario.network.adjacency.nnz
+        calls.append(({"id": scenario.id, "p": scenario.p, "pi": scenario.pi, "np_alpha": scenario.np_alpha,
+                       "n": n, "methods": tuple(methods), "h_band": h_band, "b_trim": b_trim,
+                       "network_nnz": network, "reps": reps}, summary))
+        return summary
+
+    monkeypatch.setattr(harness_module, "run_scenario", recorder)
+    return calls
+
+
+def _call(sid, p, pi, n, methods, np_alpha=0.01, h_band=None, network_nnz=None, reps=20):
+    return {"id": sid, "p": p, "pi": pi, "np_alpha": np_alpha, "n": n, "methods": methods, "h_band": h_band,
+            "b_trim": None, "network_nnz": network_nnz, "reps": reps}
+
+
+def _expected_table(table_id):
+    """The calls a table makes at budget 0.02 (20 reps), and how each cell reads its summary."""
+    ref = harness_module
+    if table_id == "table1":
+        methods = ("linear:spectral", "linear:conservative")
+        return [(_call("sec31-validation", 1, pi, n, methods), lambda s, n=n, pi=pi: {
+            "n": n, "pi": pi, "coverage": s.methods[methods[0]].coverage,
+            "coverage_reference": ref._TABLE1_REFERENCE[(n, pi)][0],
+            "coverage_conservative": s.methods[methods[1]].coverage,
+            "coverage_conservative_reference": ref._TABLE1_REFERENCE[(n, pi)][1],
+        }) for n in (100, 300, 500) for pi in (0.5, 0.6, 0.7)]
+    if table_id == "table2":
+        return [(_call("sec41-main", p, 0.7, 1000, ("np:none",), np_alpha=alpha, h_band=h),
+                 lambda s, p=p, h=h, alpha=alpha: {
+                     "p": p, "h_band": h, "alpha": alpha, "n_mse": s.methods["np:none"].n_mse,
+                     "n_mse_reference": ref._TABLE2_REFERENCE[p][(h, alpha)]})
+                for p in (1, 5) for alpha in (0.01, 0.05)
+                for h in ((0.2, 0.4, 0.6, 0.8, 1.0) if p == 1 else (1.8, 2.0, 2.2, 2.4, 2.6))]
+    if table_id == "table3":
+        return [(_call("sec41-main", p, 0.7, n, ("np:polyseq",)), lambda s, p=p, n=n: {
+            "p": p, "n": n, "coverage": s.methods["np:polyseq"].coverage,
+            "coverage_reference": ref._TABLE3_REFERENCE[(p, n)]})
+                for p in (1, 5) for n in (100, 300, 500)]
+    if table_id == "table4":
+        return [(_call("sec41-main", p, 0.7, 1000, ("np:none",)), lambda s, p=p: {
+            "p": p, "h_band_reference": ref._TABLE4_REFERENCE[p][0],
+            "mean": s.methods["np:none"].mean, "mean_reference": ref._TABLE4_REFERENCE[p][1],
+            "n_variance": 1000 * s.methods["np:none"].variance, "n_variance_reference": ref._TABLE4_REFERENCE[p][2],
+            "n_mse": s.methods["np:none"].n_mse, "n_mse_reference": ref._TABLE4_REFERENCE[p][3]})
+                for p in range(1, 11)]
+    if table_id == "fig3":
+        methods = ("linear:none", "np:none")
+        return [(_call("sec41-main", 5, 0.7, n, methods, np_alpha=0.05), lambda s, n=n: {
+            "n": n, "n_mse_linear": s.methods["linear:none"].n_mse, "n_mse_np": s.methods["np:none"].n_mse,
+            "n_mse_linear_reference_at_1000": 3.95}) for n in (250, 500, 750, 1000)]
+    keys = {"dim": "dim:spectral", "linear": "linear:spectral", "np": "np:polyseq"}
+    expected = []
+    for period in ("morning", "midday"):
+        net = contact_network(period)
+        call = _call("contact-vaccine", 1, 0.2, net.n, tuple(keys), network_nnz=net.adjacency.nnz,
+                     reps=1 if table_id == "table5" else 20)
+        if table_id == "table5":
+            expected.append((call, lambda s, period=period: [{
+                "network": period, "method": short,
+                "estimate": s.methods[key].mean, "estimate_reference": ref._TABLE5_REFERENCE[(period, short)][0],
+                "se": math.sqrt(s.methods[key].mean_v_hat / s.n),
+                "se_reference": ref._TABLE5_REFERENCE[(period, short)][1],
+                "ci_low": s.methods[key].mean - s.methods[key].ci_halfwidth,
+                "ci_high": s.methods[key].mean + s.methods[key].ci_halfwidth,
+            } for short, key in keys.items()]))
+        else:
+            expected.append((call, lambda s, period=period: [{
+                "network": period, "method": short,
+                "mean": s.methods[key].mean, "mean_reference": ref._TABLE6_REFERENCE[(period, short)][0],
+                "se": math.sqrt(s.methods[key].mean_v_hat / s.n),
+                "se_reference": ref._TABLE6_REFERENCE[(period, short)][1],
+                "coverage": s.methods[key].coverage, "coverage_reference": ref._TABLE6_REFERENCE[(period, short)][2],
+                "coverage_nonet": s.methods[key].coverage_nonet,
+                "coverage_nonet_reference": ref._TABLE6_REFERENCE[(period, short)][3],
+                "variance_reduction_vs_dim":
+                    0.0 if short == "dim" else 1.0 - s.methods[key].variance / s.methods["dim:spectral"].variance,
+            } for short, key in keys.items()]))
+    return expected
+
+
+@pytest.mark.parametrize("table_id, cell_count", [("table1", 9), ("table2", 20), ("table3", 6), ("table4", 10),
+                                                  ("table5", 6), ("table6", 6), ("fig3", 4)])
+def test_reproduce_table_runs_each_cell_and_reads_its_summary(recorded_runs, table_id, cell_count):
+    report = reproduce_table(table_id, budget=0.02, seed=5)
+    assert (report["reps"], report["scaled"]) == (20, True)
+    assert len(report["cells"]) == cell_count
+    expected = _expected_table(table_id)
+    assert [call for call, _ in recorded_runs] == [call for call, _ in expected]
+    cells = []
+    for (_, summary), (_, cell) in zip(recorded_runs, expected):
+        made = cell(summary)
+        cells.extend(made if isinstance(made, list) else [made])
+    assert report["cells"] == cells
